@@ -31,11 +31,12 @@ from .classify import ClassKind, check_sufficiency, classify, verify_structure
 from .groups import GroupTable, build_group
 from .reports import CheckItem, CheckReport
 from .setops import ElemSet, left_translate_mask, product_mask, quotient_mask
-from .subgroups import Subgroup, all_subgroups, normalizer
+from .subgroups import Subgroup, all_subgroups, left_cosets, normalizer
 
 __all__ = [
     "DEFAULT_CENSUS_CAP",
     "HARD_CENSUS_CAP",
+    "check_sweep_cap",
     "canonical_form",
     "iter_canonical_sets",
     "CensusViolation",
@@ -97,7 +98,8 @@ def iter_canonical_sets(G: GroupTable, sizes=None):
                 yield A
 
 
-def _check_sweep_cap(G: GroupTable, cap: int | None, allow_big: bool) -> None:
+def check_sweep_cap(G: GroupTable, cap: int | None, allow_big: bool) -> None:
+    """Raise ValueError if the sweeps would refuse G under these caps."""
     if cap is None:
         cap = DEFAULT_CENSUS_CAP
     if G.order > HARD_CENSUS_CAP:
@@ -106,7 +108,7 @@ def _check_sweep_cap(G: GroupTable, cap: int | None, allow_big: bool) -> None:
     if G.order > cap and not allow_big:
         raise ValueError(
             f"order {G.order} exceeds the sweep cap {cap}; "
-            "pass allow_big=True to proceed anyway")
+            "pass allow_big=True (CLI: --i-know-this-is-big) to proceed anyway")
 
 
 def _partition_plan(G: GroupTable, jobs: int) -> int:
@@ -331,7 +333,7 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
     picture's hypotheses.
     """
     start = time.perf_counter()
-    _check_sweep_cap(G, cap, allow_big)
+    check_sweep_cap(G, cap, allow_big)
     lo, hi = _size_range(G, sizes)
     b = _partition_plan(G, jobs)
     if 1 << b == 1:
@@ -388,8 +390,11 @@ class StructureWitness:
     checks: CheckReport
 
 
-def _coset_reps_bounded(G: GroupTable, amask: int, hbits: int, limit: int):
-    """Smallest element of A in each met left coset of H, or None past the limit."""
+def _coset_reps_bounded(cosets, amask: int, limit: int):
+    """Smallest element of A in each met left coset, or None past the limit.
+
+    ``cosets`` is the subgroup's table from :func:`left_cosets`.
+    """
     reps = []
     remaining = amask
     while remaining:
@@ -397,7 +402,7 @@ def _coset_reps_bounded(G: GroupTable, amask: int, hbits: int, limit: int):
             return None
         x = (remaining & -remaining).bit_length() - 1
         reps.append(x)
-        remaining &= ~left_translate_mask(G, x, hbits)
+        remaining &= ~cosets[x]
     return reps
 
 
@@ -438,7 +443,7 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
 
     for H in subgroups:
         h = H.order
-        reps = _coset_reps_bounded(G, amask, H.bits, n)
+        reps = _coset_reps_bounded(left_cosets(G, H), amask, n)
         if reps is None:
             continue
         mc = len(reps)
@@ -506,7 +511,7 @@ def _structure_hypotheses_exist(G: GroupTable, subgroups, amask: int, n: int) ->
     k = amask.bit_count()
     mul, inv = G.mul, G.inv
     for H in subgroups:
-        reps = _coset_reps_bounded(G, amask, H.bits, n)
+        reps = _coset_reps_bounded(left_cosets(G, H), amask, n)
         if reps is None:
             continue
         mc = len(reps)
@@ -566,6 +571,17 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
     inv_left, width, cmask = tabs.inv_left, tabs.width, tabs.chunk_mask
     n = max_reps
 
+    # Both searches below accept a subgroup H only if A meets mc <= n left
+    # cosets of H and (2n+1)k > (n+1)(2mc-1)|H|, for k = |A|.  A meets at
+    # least c = ceil(k/|H|) cosets and (2mc-1)|H| grows with mc, so H can
+    # pass only when (n+1)(2c-1)|H| < (2n+1)k.  (That also gives c <= n,
+    # since k <= c|H|.)  The other subgroups fail for every set of size k
+    # and are dropped up front; the subgroup order is kept, so the first
+    # witness found does not change.
+    cands = [[H for H in subgroups
+              if (n + 1) * (2 * -(-k // H.order) - 1) * H.order < (2 * n + 1) * k]
+             for k in range(order + 1)]
+
     scanned = 0
     classes = 0
     in_range_count = 0
@@ -603,12 +619,16 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
         in_range = (n + 1) * qk < (2 * n + 1) * k
         if in_range:
             in_range_count += 1
-            witness = find_structure_witness(G, ElemSet(order, m), n, subgroups)
-            if witness is not None:
+            if find_structure_witness(G, ElemSet(order, m), n, cands[k]) is not None:
+                # A witness passed mc <= n, the density bound and one of the
+                # two shapes, which are exactly the hypotheses; and in range
+                # implies |Q| < 2|A|.  So the set counts as checked, and the
+                # hypothesis search would only repeat the witness search.
                 witnesses += 1
-            else:
-                counterexamples.append(m)
-        if 2 * k > qk and _structure_hypotheses_exist(G, subgroups, m, n):
+                checked += 1
+                continue
+            counterexamples.append(m)
+        if 2 * k > qk and _structure_hypotheses_exist(G, cands[k], m, n):
             checked += 1
             if not in_range:
                 suff_failures.append(m)
@@ -636,7 +656,7 @@ def structure_scan(G: GroupTable, max_reps: int, jobs: int = 1,
     is exercised on the same sweep.
     """
     start = time.perf_counter()
-    _check_sweep_cap(G, cap, allow_big)
+    check_sweep_cap(G, cap, allow_big)
     if max_reps < 1:
         raise ValueError(f"max_reps must be at least 1, got {max_reps}")
     b = _partition_plan(G, jobs)

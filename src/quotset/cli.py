@@ -21,6 +21,7 @@ import sys
 
 from .census import (
     DEFAULT_CENSUS_CAP,
+    check_sweep_cap,
     classification_census,
     structure_scan,
 )
@@ -161,6 +162,15 @@ def _selected_specs(args) -> list[str]:
     return catalog_specs(args.max_order)
 
 
+def _sweep_groups(args, cap: int) -> list[GroupTable]:
+    """Build every selected group and check it against the caps before any
+    sweep runs, so an oversized group fails the command up front."""
+    groups = [build_group(spec) for spec in _selected_specs(args)]
+    for G in groups:
+        check_sweep_cap(G, cap, args.allow_big)
+    return groups
+
+
 def _replay(spec: str, s: ElemSet) -> str:
     return f'("{spec}", "{s.literal()}")'
 
@@ -210,8 +220,9 @@ def _run_census(args):
     cap = _census_cap()
     findings = []
     reports = []
-    for spec in _selected_specs(args):
-        G = build_group(spec)
+    groups = _sweep_groups(args, cap)
+    while groups:
+        G = groups.pop(0)  # a swept group's caches are freed with it
         report = classification_census(G, sizes=args.sizes, jobs=args.jobs,
                                        cap=cap, allow_big=args.allow_big)
         print(f"census {G.spec}: {report.subsets_scanned} subsets in "
@@ -227,8 +238,9 @@ def _run_conjecture_scan(args):
     cap = _census_cap()
     findings = []
     reports = []
-    for spec in _selected_specs(args):
-        G = build_group(spec)
+    groups = _sweep_groups(args, cap)
+    while groups:
+        G = groups.pop(0)  # a swept group's caches are freed with it
         report = structure_scan(G, args.n, jobs=args.jobs,
                                 cap=cap, allow_big=args.allow_big)
         print(f"conjecture-scan {G.spec}: {report.subsets_scanned} subsets in "

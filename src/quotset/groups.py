@@ -108,11 +108,12 @@ class GroupTable:
     """Immutable finite group given by explicit multiplication and inverse tables.
 
     Treat instances as read-only; the private fields only cache derived data
-    (action tables, subgroup lists) and rebuilding them is always idempotent.
+    (action tables, subgroup lists, per-subgroup normalizers and left-coset
+    tables) and rebuilding them is always idempotent.
     """
 
     __slots__ = ("order", "mul", "inv", "identity", "element_names", "spec",
-                 "_tables", "_normalizers", "_subgroups")
+                 "_tables", "_normalizers", "_cosets", "_subgroups")
 
     def __init__(self, order, mul, inv, element_names, spec):
         self.order = order
@@ -123,6 +124,7 @@ class GroupTable:
         self.spec = spec
         self._tables = None
         self._normalizers = {}
+        self._cosets = {}
         self._subgroups = None
 
     @property

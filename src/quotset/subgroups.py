@@ -22,6 +22,7 @@ __all__ = [
     "generated_subgroup",
     "all_subgroups",
     "normalizer",
+    "left_cosets",
     "left_stabilizer",
     "coset_partition",
     "double_coset",
@@ -112,6 +113,30 @@ def normalizer(G: GroupTable, H: Subgroup) -> ElemSet:
                 cached |= 1 << g
         G._normalizers[H.bits] = cached
     return ElemSet(G.order, cached)
+
+
+def left_cosets(G: GroupTable, H: Subgroup) -> tuple[int, ...]:
+    """``cosets[x]`` is the left coset xH as a bitmask, for every element x.
+
+    Built on first use with one translation per coset, and cached per
+    subgroup on the group table.
+    """
+    hbits = H.bits
+    cosets = G._cosets.get(hbits)
+    if cosets is None:
+        table = [0] * G.order
+        remaining = G.full_mask
+        while remaining:
+            coset = left_translate_mask(G, (remaining & -remaining).bit_length() - 1,
+                                        hbits)
+            remaining &= ~coset
+            bits = coset
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                table[low.bit_length() - 1] = coset
+        cosets = G._cosets[hbits] = tuple(table)
+    return cosets
 
 
 def left_stabilizer(G: GroupTable, A: ElemSet) -> Subgroup:

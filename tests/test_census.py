@@ -14,6 +14,7 @@ import pytest
 from quotset.census import (
     DEFAULT_CENSUS_CAP,
     HARD_CENSUS_CAP,
+    _structure_hypotheses_exist,
     canonical_form,
     classification_census,
     find_structure_witness,
@@ -21,7 +22,7 @@ from quotset.census import (
     structure_scan,
 )
 from quotset.groups import build_group, catalog_specs
-from quotset.setops import ElemSet, left_translate_mask, quotient_set
+from quotset.setops import ElemSet, left_translate_mask, quotient_mask, quotient_set
 from quotset.subgroups import all_subgroups, ensure_subgroup
 
 from oracles import (
@@ -225,6 +226,40 @@ def test_scan_in_range_count_matches_brute_force(s3):
             if (n + 1) * q < (2 * n + 1) * A.size:
                 expected += 1
         assert structure_scan(s3, n).in_range == expected
+
+
+def _unpruned_scan_counts(G, n):
+    """The scan's counts recounted set by set, every subgroup tried and both
+    searches run on every set they apply to."""
+    subgroups = all_subgroups(G)
+    in_range = witnesses = checked = 0
+    counterexamples, failures = [], []
+    for A in iter_canonical_sets(G):
+        k, qk = A.size, quotient_mask(G, A.bits).bit_count()
+        hit = (n + 1) * qk < (2 * n + 1) * k
+        if hit:
+            in_range += 1
+            if find_structure_witness(G, A, n, subgroups) is not None:
+                witnesses += 1
+            else:
+                counterexamples.append(A)
+        if 2 * k > qk and _structure_hypotheses_exist(G, subgroups, A.bits, n):
+            checked += 1
+            if not hit:
+                failures.append(A)
+    return in_range, witnesses, checked, counterexamples, failures
+
+
+def test_scan_pruning_loses_nothing(make_group):
+    # the scan tries only the subgroups that could pass the density bound
+    # for each set size, and skips the hypothesis search after a witness
+    for spec in catalog_specs(12):
+        G = make_group(spec)
+        for n in (1, 2, 3):
+            s = structure_scan(G, n)
+            got = (s.in_range, s.witnesses_found, s.sufficiency_checked,
+                   list(s.counterexamples), list(s.sufficiency_failures))
+            assert got == _unpruned_scan_counts(G, n), (spec, n)
 
 
 def test_scan_is_deterministic_across_jobs(c12):

@@ -168,6 +168,27 @@ def test_census_cap_env_var(capsys, monkeypatch):
     assert "violations: 0" in out
 
 
+def test_cap_error_names_the_cli_flag(capsys, monkeypatch):
+    monkeypatch.setenv(CAP_ENV_VAR, "8")
+    code, out, err = run(capsys, ["conjecture-scan", "--group", "cyclic 12",
+                                  "--n", "1"])
+    assert code == 2
+    assert out == ""
+    assert "--i-know-this-is-big" in err
+
+
+@pytest.mark.parametrize("verb", [["census"], ["conjecture-scan", "--n", "1"]])
+def test_multi_group_sweep_checks_caps_before_sweeping(capsys, monkeypatch, verb):
+    # every catalog group of order <= 8 is built and checked before the first
+    # sweep, so the groups of order 7 and 8 stop the command before any runs
+    monkeypatch.setenv(CAP_ENV_VAR, "6")
+    code, out, err = run(capsys, [verb[0], "--max-order", "8", *verb[1:]])
+    assert code == 2
+    assert out == ""
+    assert "exceeds the sweep cap 6" in err
+    assert f"{verb[0]} " not in err  # no per-group progress line
+
+
 def test_census_cap_env_var_must_be_numeric(capsys, monkeypatch):
     monkeypatch.setenv(CAP_ENV_VAR, "soon")
     code, _, err = run(capsys, ["census", "--group", "cyclic 6"])

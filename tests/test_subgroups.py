@@ -14,6 +14,7 @@ from quotset.subgroups import (
     double_coset,
     ensure_subgroup,
     generated_subgroup,
+    left_cosets,
     left_stabilizer,
     normalizer,
 )
@@ -116,6 +117,16 @@ def test_normalizer_contains_subgroup_and_is_a_subgroup(make_group):
             norm = normalizer(G, H)
             assert H.bits & ~norm.bits == 0
             assert is_subgroup_mask(G, norm.bits)
+
+
+def test_left_coset_table_matches_naive_cosets(s4):
+    for H in all_subgroups(s4):
+        cosets = left_cosets(s4, H)
+        assert len(cosets) == s4.order
+        for x in range(s4.order):
+            naive = {s4.mul[x][h] for h in H}
+            assert set(ElemSet(s4.order, cosets[x])) == naive
+        assert left_cosets(s4, H) is cosets  # cached on the group table
 
 
 def test_normalizer_special_cases(d4, s3):
