@@ -16,6 +16,17 @@ the bounded-representative structure conjecture: every canonical set whose
 quotient set is within the range for ``max_reps`` representatives must
 admit a witness subgroup.
 
+Both sweeps read one kernel, ``_canonical_masks``, which runs the canonical
+test and the quotient set in the same pass: every translate inv(a)*A for a
+in A either beats A (not canonical), equals it (a stabilizes A), or joins
+the quotient set.  A mask is read as three chunks of w = ceil(order/3)
+bits, and per-sweep row tables give inv(a)*X for every chunk value X and
+every a at once, so a translate costs three lookups and two ORs.  Three
+chunks keep the tables at 3 * 2^w rows of ``order`` masks, about 200,000
+masks at the hard cap (w = 11); two chunks would need 2^16-row tables
+there, and four would add a lookup to every translate.  The tables live
+only as long as the sweep that built them.
+
 Multi-process sweeps partition the subsets by their membership pattern on
 the lowest non-identity ids and merge the partial reports in a fixed order,
 so the rendered output is identical for every job count.
@@ -23,11 +34,19 @@ so the rendered output is identical for every job count.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass
+from operator import or_
 
-from .classify import ClassKind, check_sufficiency, classify, verify_structure
+from .classify import (
+    ClassKind,
+    _coset_picture,
+    check_sufficiency,
+    classify,
+    verify_structure,
+)
 from .groups import GroupTable, build_group
 from .reports import CheckItem, CheckReport
 from .setops import ElemSet, left_translate_mask, product_mask, quotient_mask
@@ -37,6 +56,7 @@ __all__ = [
     "DEFAULT_CENSUS_CAP",
     "HARD_CENSUS_CAP",
     "check_sweep_cap",
+    "check_sizes",
     "canonical_form",
     "iter_canonical_sets",
     "CensusViolation",
@@ -63,18 +83,14 @@ def canonical_form(G: GroupTable, A: ElemSet) -> ElemSet:
     amask = A.bits
     if not amask:
         raise ValueError("the empty set has no canonical form")
-    best = None
-    bits = amask
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        tm = left_translate_mask(G, G.inv[low.bit_length() - 1], amask)
-        if best is None or tm < best:
-            best = tm
-    return ElemSet(G.order, best)
+    return ElemSet(G.order, min(left_translate_mask(G, G.inv[a], amask) for a in A))
 
 
-def _size_range(G: GroupTable, sizes) -> tuple[int, int]:
+def check_sizes(G: GroupTable, sizes) -> tuple[int, int]:
+    """The size range ``(lo, hi)`` a census of G would sweep.
+
+    ``None`` means every size; raises ValueError for a range G cannot hold.
+    """
     if sizes is None:
         return 1, G.order
     lo, hi = sizes
@@ -85,17 +101,10 @@ def _size_range(G: GroupTable, sizes) -> tuple[int, int]:
 
 
 def iter_canonical_sets(G: GroupTable, sizes=None):
-    """Yield the canonical representative of every translation orbit, ascending.
-
-    Meant for tests and small explorations; the sweeps below use a fused
-    enumeration instead of calling this.
-    """
-    lo, hi = _size_range(G, sizes)
-    for m in range(1, 1 << G.order, 2):
-        if lo <= m.bit_count() <= hi:
-            A = ElemSet(G.order, m)
-            if canonical_form(G, A).bits == m:
-                yield A
+    """Yield the canonical representative of every translation orbit, ascending."""
+    lo, hi = check_sizes(G, sizes)
+    for m, _, _, _ in _canonical_masks(G, lo, hi, 0, 0):
+        yield ElemSet(G.order, m)
 
 
 def check_sweep_cap(G: GroupTable, cap: int | None, allow_big: bool) -> None:
@@ -111,21 +120,36 @@ def check_sweep_cap(G: GroupTable, cap: int | None, allow_big: bool) -> None:
             "pass allow_big=True (CLI: --i-know-this-is-big) to proceed anyway")
 
 
-def _partition_plan(G: GroupTable, jobs: int) -> int:
+def _sweep_partitions(G: GroupTable, jobs: int, partition, *args) -> list:
+    """``partition(G, subgroups, *args, fixed_width, pattern)`` for every
+    partition of the masks, in partition order.
+
+    With more than one job each partition runs in a worker process, which
+    rebuilds the group from its spec.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min((jobs - 1).bit_length(), G.order - 1)
-
-
-def _parallel_map(func, tasks, jobs):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [func(t) for t in tasks]
+    b = min((jobs - 1).bit_length(), G.order - 1)
+    if b == 0:
+        return [partition(G, all_subgroups(G), *args, 0, 0)]
+    tasks = [(partition, G.spec, args, b, p) for p in range(1 << b)]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(func, tasks)
+        return pool.map(_partition_task, tasks)
+
+
+def _partition_task(task):
+    partition, spec, args, fixed_width, pattern = task
+    G = build_group(spec)
+    return partition(G, all_subgroups(G), *args, fixed_width, pattern)
+
+
+def _masks_in_range(G: GroupTable, lo: int, hi: int) -> int:
+    """How many masks with the identity bit and a size in lo..hi the sweeps visit."""
+    return sum(math.comb(G.order - 1, k - 1) for k in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -190,67 +214,104 @@ class CensusReport:
         }
 
 
+def _row_tables(G: GroupTable):
+    """The sweep kernel's row tables: ``(w, rows, elems)``.
+
+    A mask is split into three chunks of ``w`` bits.  ``rows[c][v][a]`` is the
+    mask inv(a)*X for X the elements that chunk value ``v`` of chunk ``c``
+    marks, and ``elems[c][v]`` lists those elements, without the identity, in
+    ascending order.  Chunks past the order hold only the value 0.
+    """
+    n = G.order
+    w = -(-n // 3)
+    mul, inv = G.mul, G.inv
+    # Lists, not tuples: CPython keeps freed small tuples on per-size free
+    # lists until a full collection, and a many-group census would pile up
+    # every group's rows there.
+    cols = [[1 << mul[inv[a]][x] for a in range(n)] for x in range(n)]
+    rows, elems = [], []
+    for c in range(3):
+        base = c * w
+        r, e = [[0] * n], [[]]
+        for v in range(1, 1 << max(0, min(w, n - base))):
+            low = v & -v
+            x = base + low.bit_length() - 1
+            r.append(list(map(or_, r[v ^ low], cols[x])))
+            e.append([x] + e[v ^ low] if x else e[v ^ low])
+        rows.append(r)
+        elems.append(e)
+    return w, rows, elems
+
+
+def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
+                     pattern: int):
+    """Yield ``(m, k, qmask, stab)`` for every canonical mask of a partition.
+
+    The partition holds the masks with the identity bit set and the next
+    ``fixed_width`` bits equal to ``pattern``; only sizes k in lo..hi are
+    visited.  Every left translate inv(a)*A for a in A both feeds the
+    minimality test and joins the quotient set, so ``qmask`` is the
+    quotient set of a canonical mask and ``stab`` the number of a with
+    inv(a)*A = A.  The masks come in ascending order.
+    """
+    w, rows, elems = _row_tables(G)
+    (rows0, rows1, rows2), (elems0, elems1, elems2) = rows, elems
+    fixed = (1 << 1 + fixed_width) - 1
+    base = 1 | pattern << 1
+
+    def values(c):
+        # the values of chunk c that agree with the partition's fixed bits
+        size = len(rows[c])
+        f = fixed >> c * w & size - 1
+        return [v for v in range(size) if v & f == base >> c * w & f]
+
+    vals0 = values(0)
+    for c2 in values(2):
+        r2, e2, m2 = rows2[c2], elems2[c2], c2 << 2 * w
+        for c1 in values(1):
+            r1, e12, m1 = rows1[c1], elems1[c1] + e2, m2 | c1 << w
+            for c0 in vals0:
+                m = m1 | c0
+                k = m.bit_count()
+                if k < lo or k > hi:
+                    continue
+                r0 = rows0[c0]
+                qmask = m
+                stab = 1
+                for a in elems0[c0] + e12:
+                    t = r0[a] | r1[a] | r2[a]
+                    if t < m:
+                        break
+                    if t == m:
+                        stab += 1
+                    else:
+                        qmask |= t
+                else:
+                    yield m, k, qmask, stab
+
+
+def _classify_candidates(subgroups, lo: int, hi: int) -> dict:
+    """Per set size k, the subgroups that could realize either coset picture.
+
+    A single coset of H needs 5k > 3|H|, two cosets need 5k > 9|H| and
+    k <= 2|H|; the lists keep ``subgroups`` order, so ``classify`` returns
+    the same subgroup as with the full list.
+    """
+    return {k: [H for H in subgroups if 5 * k > 3 * H.order and k <= 2 * H.order]
+            for k in range(lo, hi + 1)}
+
+
 def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
     """Sweep the subsets whose low non-identity bits equal ``pattern``."""
     order = G.order
-    tabs = G.action_tables()
-    inv_left, width, cmask = tabs.inv_left, tabs.width, tabs.chunk_mask
-    left = tabs.left
+    # For most sizes these lists are empty or nearly so.
+    cands = _classify_candidates(subgroups, lo, hi)
 
-    def apply(tables, mask):
-        acc = 0
-        for table in tables:
-            acc |= table[mask & cmask]
-            mask >>= width
-        return acc
-
-    # Subgroups that could realize either coset picture for a given set
-    # size; for most sizes both lists are empty or nearly so.
-    cand_single = {k: [H for H in subgroups
-                       if k <= H.order and 5 * k > 3 * H.order]
-                   for k in range(lo, hi + 1)}
-    cand_double = {k: [H for H in subgroups
-                       if k <= 2 * H.order and 5 * k > 9 * H.order]
-                   for k in range(lo, hi + 1)}
-
-    scanned = 0
     classes = 0
     violations = []
     best: dict[int, list] = {}
 
-    base = 1 | pattern << 1
-    shift = 1 + fixed_width
-    for t in range(1 << (order - shift)):
-        m = base | t << shift
-        k = m.bit_count()
-        if k < lo or k > hi:
-            continue
-        scanned += 1
-
-        # Canonical check fused with the quotient computation: every left
-        # translate inv(a)*A for a in A both feeds the minimality test and
-        # contributes its elements to the quotient set.
-        bits = m & (m - 1)
-        stab = 1
-        qmask = m
-        canonical = True
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            acc = 0
-            mm = m
-            for table in inv_left[low.bit_length() - 1]:
-                acc |= table[mm & cmask]
-                mm >>= width
-            if acc < m:
-                canonical = False
-                break
-            if acc == m:
-                stab += 1
-            else:
-                qmask |= acc
-        if not canonical:
-            continue
+    for m, k, qmask, stab in _canonical_masks(G, lo, hi, fixed_width, pattern):
         classes += 1
         qk = qmask.bit_count()
 
@@ -265,7 +326,7 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
 
         if 3 * qk < 5 * k:
             A = ElemSet(order, m)
-            result = classify(G, A, subgroups)
+            result = classify(G, A, cands[k], _qmask=qmask)
             if result.kind is ClassKind.VIOLATION:
                 violations.append((m, "necessity",
                                    f"3|Q| = {3 * qk} is below 5|A| = {5 * k} "
@@ -283,43 +344,17 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
                                        "; ".join(item.name for item in bad)))
         else:
             # The set is not small, so no subgroup may satisfy either
-            # picture's hypotheses.  The identity is in A, so the reference
-            # coset is H itself and the second representative is d itself.
-            hit = None
-            for H in cand_single[k]:
-                if m & ~H.bits == 0:
-                    hit = ("one-coset", H.order)
-                    break
-            if hit is None:
-                for H in cand_double[k]:
-                    hbits = H.bits
-                    rest = m & ~hbits
-                    if not rest:
-                        continue
-                    d = (rest & -rest).bit_length() - 1
-                    if rest & ~apply(left[d], hbits):
-                        continue
-                    window = (product_mask(G, hbits, apply(left[d], hbits))
-                              | product_mask(G, hbits,
-                                             apply(left[G.inv[d]], hbits)))
-                    if window.bit_count() != 2 * H.order:
-                        continue
-                    hit = ("two-coset", H.order)
-                    break
-            if hit is not None:
+            # picture's hypotheses.
+            picture = _coset_picture(G, m, cands[k])
+            if picture is not None:
+                H, _, b = picture
                 violations.append((m, "sufficiency",
-                                   f"{hit[0]} hypotheses hold for a subgroup "
-                                   f"of order {hit[1]} but 3|Q| = {3 * qk} "
-                                   f"is not below 5|A| = {5 * k}"))
+                                   f"{'one' if b is None else 'two'}-coset "
+                                   f"hypotheses hold for a subgroup of order "
+                                   f"{H.order} but 3|Q| = {3 * qk} is not "
+                                   f"below 5|A| = {5 * k}"))
 
-    return {"scanned": scanned, "classes": classes,
-            "violations": violations, "best": best}
-
-
-def _census_task(args):
-    spec, lo, hi, fixed_width, pattern = args
-    G = build_group(spec)
-    return _census_partition(G, all_subgroups(G), lo, hi, fixed_width, pattern)
+    return {"classes": classes, "violations": violations, "best": best}
 
 
 def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
@@ -334,13 +369,8 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
     """
     start = time.perf_counter()
     check_sweep_cap(G, cap, allow_big)
-    lo, hi = _size_range(G, sizes)
-    b = _partition_plan(G, jobs)
-    if 1 << b == 1:
-        partials = [_census_partition(G, all_subgroups(G), lo, hi, 0, 0)]
-    else:
-        tasks = [(G.spec, lo, hi, b, p) for p in range(1 << b)]
-        partials = _parallel_map(_census_task, tasks, jobs)
+    lo, hi = check_sizes(G, sizes)
+    partials = _sweep_partitions(G, jobs, _census_partition, lo, hi)
 
     best: dict[int, list] = {}
     for partial in partials:
@@ -363,7 +393,7 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
         order=G.order,
         size_lo=lo,
         size_hi=hi,
-        subsets_scanned=sum(p["scanned"] for p in partials),
+        subsets_scanned=_masks_in_range(G, lo, hi),
         canonical_classes=sum(p["classes"] for p in partials),
         violations=violations,
         by_size=by_size,
@@ -390,24 +420,41 @@ class StructureWitness:
     checks: CheckReport
 
 
-def _coset_reps_bounded(cosets, amask: int, limit: int):
-    """Smallest element of A in each met left coset, or None past the limit.
+def _hypothesis_subgroups(G: GroupTable, amask: int, n: int, subgroups):
+    """Yield ``(H, mc, rep_bits, sharing)`` for each subgroup H, in order,
+    that A meets in mc <= n left cosets with (2n+1)|A| > (n+1)(2mc-1)|H|.
 
-    ``cosets`` is the subgroup's table from :func:`left_cosets`.
+    ``rep_bits`` marks the smallest element of A in each met coset, and
+    ``sharing`` says whether they all lie in one left coset of the
+    normalizer of H.
     """
-    reps = []
-    remaining = amask
-    while remaining:
-        if len(reps) == limit:
-            return None
-        x = (remaining & -remaining).bit_length() - 1
-        reps.append(x)
-        remaining &= ~cosets[x]
-    return reps
+    k = amask.bit_count()
+    for H in subgroups:
+        cosets = left_cosets(G, H)
+        reps = []
+        remaining = amask
+        while remaining and len(reps) < n:
+            x = (remaining & -remaining).bit_length() - 1
+            reps.append(x)
+            remaining &= ~cosets[x]
+        mc = len(reps)
+        if remaining or (2 * n + 1) * k <= (n + 1) * (2 * mc - 1) * H.order:
+            continue
+        norm_bits = normalizer(G, H).bits
+        x0inv = G.inv[reps[0]]
+        yield (H, mc, sum(1 << x for x in reps),
+               all(norm_bits >> G.mul[x0inv][x] & 1 for x in reps[1:]))
+
+
+def _sandwich(G: GroupTable, H: Subgroup, rep_bits: int) -> int:
+    """The two-sided sandwich H A0^-1 A0 H."""
+    return product_mask(G, H.bits,
+                        product_mask(G, quotient_mask(G, rep_bits), H.bits))
 
 
 def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
-                           subgroups=None) -> StructureWitness | None:
+                           subgroups=None, *,
+                           _qmask: int | None = None) -> StructureWitness | None:
     """Search for a subgroup witnessing the bounded-representative structure.
 
     A witness subgroup H admits at most ``max_reps`` met left cosets and
@@ -425,6 +472,9 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
     met cosets, not on which representative is taken from each (swapping a
     rep multiplies the sandwich by subgroup factors that H absorbs), so the
     minimal representatives lose nothing.
+
+    ``_qmask`` is for the sweeps, which already hold the quotient set of A;
+    it is trusted as given.
     """
     if A.n != G.order:
         raise ValueError(f"set is over order {A.n}, group has order {G.order}")
@@ -437,29 +487,14 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
     if subgroups is None:
         subgroups = all_subgroups(G)
     k = amask.bit_count()
-    qmask = quotient_mask(G, amask)
+    qmask = quotient_mask(G, amask) if _qmask is None else _qmask
     qk = qmask.bit_count()
-    mul, inv = G.mul, G.inv
 
-    for H in subgroups:
+    for H, mc, rep_bits, sharing in _hypothesis_subgroups(G, amask, n, subgroups):
         h = H.order
-        reps = _coset_reps_bounded(left_cosets(G, H), amask, n)
-        if reps is None:
-            continue
-        mc = len(reps)
-        if (2 * n + 1) * k <= (n + 1) * (2 * mc - 1) * h:
-            continue
-        norm_bits = normalizer(G, H).bits
-        x0inv = inv[reps[0]]
-        sharing = all(norm_bits >> mul[x0inv][x] & 1 for x in reps[1:])
-
-        rep_bits = 0
-        for x in reps:
-            rep_bits |= 1 << x
         rep_cosets = product_mask(G, rep_bits, H.bits)
         ch = rep_cosets.bit_count()
-        sandwich = product_mask(
-            G, H.bits, product_mask(G, quotient_mask(G, rep_bits), H.bits))
+        sandwich = _sandwich(G, H, rep_bits)
         target = (2 * mc - 1) * h
         if sharing:
             shape_items = (
@@ -508,27 +543,9 @@ def _structure_hypotheses_exist(G: GroupTable, subgroups, amask: int, n: int) ->
     (normalizer-sharing representatives, or the sandwich H A0^-1 A0 H
     collapsing to (2|A0|-1)|H| elements).
     """
-    k = amask.bit_count()
-    mul, inv = G.mul, G.inv
-    for H in subgroups:
-        reps = _coset_reps_bounded(left_cosets(G, H), amask, n)
-        if reps is None:
-            continue
-        mc = len(reps)
-        if (2 * n + 1) * k <= (n + 1) * (2 * mc - 1) * H.order:
-            continue
-        norm_bits = normalizer(G, H).bits
-        x0inv = inv[reps[0]]
-        if all(norm_bits >> mul[x0inv][x] & 1 for x in reps[1:]):
-            return True
-        rep_bits = 0
-        for x in reps:
-            rep_bits |= 1 << x
-        sandwich = product_mask(
-            G, H.bits, product_mask(G, quotient_mask(G, rep_bits), H.bits))
-        if sandwich.bit_count() == (2 * mc - 1) * H.order:
-            return True
-    return False
+    return any(
+        sharing or _sandwich(G, H, rep_bits).bit_count() == (2 * mc - 1) * H.order
+        for H, mc, rep_bits, sharing in _hypothesis_subgroups(G, amask, n, subgroups))
 
 
 @dataclass(frozen=True, slots=True)
@@ -567,8 +584,6 @@ class ScanReport:
 
 def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
     order = G.order
-    tabs = G.action_tables()
-    inv_left, width, cmask = tabs.inv_left, tabs.width, tabs.chunk_mask
     n = max_reps
 
     # Both searches below accept a subgroup H only if A meets mc <= n left
@@ -582,7 +597,6 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
               if (n + 1) * (2 * -(-k // H.order) - 1) * H.order < (2 * n + 1) * k]
              for k in range(order + 1)]
 
-    scanned = 0
     classes = 0
     in_range_count = 0
     witnesses = 0
@@ -590,36 +604,15 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
     counterexamples = []
     suff_failures = []
 
-    base = 1 | pattern << 1
-    shift = 1 + fixed_width
-    for t in range(1 << (order - shift)):
-        m = base | t << shift
-        scanned += 1
-        bits = m & (m - 1)
-        qmask = m
-        canonical = True
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            acc = 0
-            mm = m
-            for table in inv_left[low.bit_length() - 1]:
-                acc |= table[mm & cmask]
-                mm >>= width
-            if acc < m:
-                canonical = False
-                break
-            qmask |= acc
-        if not canonical:
-            continue
+    for m, k, qmask, _ in _canonical_masks(G, 1, order, fixed_width, pattern):
         classes += 1
-        k = m.bit_count()
         qk = qmask.bit_count()
 
         in_range = (n + 1) * qk < (2 * n + 1) * k
         if in_range:
             in_range_count += 1
-            if find_structure_witness(G, ElemSet(order, m), n, cands[k]) is not None:
+            if find_structure_witness(G, ElemSet(order, m), n, cands[k],
+                                      _qmask=qmask) is not None:
                 # A witness passed mc <= n, the density bound and one of the
                 # two shapes, which are exactly the hypotheses; and in range
                 # implies |Q| < 2|A|.  So the set counts as checked, and the
@@ -633,15 +626,9 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
             if not in_range:
                 suff_failures.append(m)
 
-    return {"scanned": scanned, "classes": classes, "in_range": in_range_count,
+    return {"classes": classes, "in_range": in_range_count,
             "witnesses": witnesses, "counterexamples": counterexamples,
             "checked": checked, "suff_failures": suff_failures}
-
-
-def _scan_task(args):
-    spec, max_reps, fixed_width, pattern = args
-    G = build_group(spec)
-    return _scan_partition(G, all_subgroups(G), max_reps, fixed_width, pattern)
 
 
 def structure_scan(G: GroupTable, max_reps: int, jobs: int = 1,
@@ -659,18 +646,13 @@ def structure_scan(G: GroupTable, max_reps: int, jobs: int = 1,
     check_sweep_cap(G, cap, allow_big)
     if max_reps < 1:
         raise ValueError(f"max_reps must be at least 1, got {max_reps}")
-    b = _partition_plan(G, jobs)
-    if 1 << b == 1:
-        partials = [_scan_partition(G, all_subgroups(G), max_reps, 0, 0)]
-    else:
-        tasks = [(G.spec, max_reps, b, p) for p in range(1 << b)]
-        partials = _parallel_map(_scan_task, tasks, jobs)
+    partials = _sweep_partitions(G, jobs, _scan_partition, max_reps)
 
     return ScanReport(
         group_spec=G.spec,
         order=G.order,
         max_reps=max_reps,
-        subsets_scanned=sum(p["scanned"] for p in partials),
+        subsets_scanned=_masks_in_range(G, 1, G.order),
         canonical_classes=sum(p["classes"] for p in partials),
         in_range=sum(p["in_range"] for p in partials),
         witnesses_found=sum(p["witnesses"] for p in partials),

@@ -47,7 +47,7 @@ from .setops import (
     right_translate_mask,
     subgroup_closure_mask,
 )
-from .subgroups import Subgroup, all_subgroups, normalizer
+from .subgroups import Subgroup, all_subgroups, left_cosets, normalizer
 
 __all__ = [
     "ClassKind",
@@ -105,22 +105,43 @@ def _window_masks(G: GroupTable, hbits: int, d: int) -> tuple[int, int]:
     return d1, d2
 
 
-def _two_coset_reps(G: GroupTable, amask: int, hbits: int) -> tuple[int, int] | None:
-    """Smallest representatives (a, b) if A meets exactly two left cosets of H."""
+def _coset_picture(G: GroupTable, amask: int, subgroups):
+    """The first subgroup whose coset-picture hypotheses A meets, or None.
+
+    Returns ``(H, a, b)`` with a the least element of A.  ``b`` is None when
+    A lies in aH with 5|A| > 3|H|; otherwise every single-coset subgroup was
+    tried first, b is the least element of A outside aH, A lies in aH | bH
+    with 5|A| > 9|H|, and the window HdH | H inv(d) H for d = inv(a)*b has
+    size exactly 2|H|.
+    """
+    k = amask.bit_count()
     a = (amask & -amask).bit_length() - 1
-    first = left_translate_mask(G, a, hbits)
-    rest = amask & ~first
-    if not rest:
-        return None
-    b = (rest & -rest).bit_length() - 1
-    second = left_translate_mask(G, b, hbits)
-    if rest & ~second:
-        return None
-    return a, b
+    # every swept set holds the identity, and translating by it is a no-op
+    t0 = left_translate_mask(G, G.inv[a], amask) if a else amask
+    for H in subgroups:
+        if 5 * k > 3 * H.order and t0 & ~H.bits == 0:
+            return H, a, None
+    for H in subgroups:
+        if 5 * k <= 9 * H.order:
+            continue
+        cosets = left_cosets(G, H)
+        rest = amask & ~cosets[a]
+        if not rest:
+            continue
+        b = (rest & -rest).bit_length() - 1
+        if rest & ~cosets[b]:
+            continue
+        d = G.mul[G.inv[a]][b]
+        window = (product_mask(G, H.bits, cosets[d])
+                  | product_mask(G, H.bits, cosets[G.inv[d]]))
+        if window.bit_count() == 2 * H.order:
+            return H, a, b
+    return None
 
 
 def classify(G: GroupTable, A: ElemSet,
-             subgroups: tuple[Subgroup, ...] | None = None) -> Classification:
+             subgroups: tuple[Subgroup, ...] | None = None, *,
+             _qmask: int | None = None) -> Classification:
     """Classify a nonempty set by the structure forced by its quotient set.
 
     When 3|Q| < 5|A| this finds the smallest subgroup realizing the
@@ -129,13 +150,17 @@ def classify(G: GroupTable, A: ElemSet,
     bound held but no picture was found, which the classification dichotomy
     rules out; it is reported rather than asserted so census runs can
     surface it as a finding.
+
+    ``_qmask`` is for the census, which already holds the quotient set of A
+    and passes only the subgroups that could realize either picture; it is
+    trusted as given, and ``verify_structure`` recomputes it.
     """
     if A.n != G.order:
         raise ValueError(f"set is over order {A.n}, group has order {G.order}")
     amask = A.bits
     if not amask:
         raise ValueError("cannot classify the empty set")
-    qmask = quotient_mask(G, amask)
+    qmask = quotient_mask(G, amask) if _qmask is None else _qmask
     k = amask.bit_count()
     qk = qmask.bit_count()
     quotient = ElemSet(G.order, qmask)
@@ -144,30 +169,16 @@ def classify(G: GroupTable, A: ElemSet,
 
     if subgroups is None:
         subgroups = all_subgroups(G)
-    a0 = (amask & -amask).bit_length() - 1
-    t0 = left_translate_mask(G, G.inv[a0], amask)
-
-    for H in subgroups:
-        if 5 * k > 3 * H.order and t0 & ~H.bits == 0:
-            return Classification(ClassKind.SINGLE_COSET, quotient, k, qk,
-                                  subgroup=H, rep_a=a0)
-
-    for H in subgroups:
-        if 5 * k <= 9 * H.order:
-            continue
-        reps = _two_coset_reps(G, amask, H.bits)
-        if reps is None:
-            continue
-        a, b = reps
-        d = G.mul[G.inv[a]][b]
-        d1, d2 = _window_masks(G, H.bits, d)
-        if (d1 | d2).bit_count() != 2 * H.order:
-            continue
-        return Classification(ClassKind.TWO_COSETS, quotient, k, qk,
-                              subgroup=H, rep_a=a, rep_b=b,
-                              fused=d not in normalizer(G, H))
-
-    return Classification(ClassKind.VIOLATION, quotient, k, qk)
+    picture = _coset_picture(G, amask, subgroups)
+    if picture is None:
+        return Classification(ClassKind.VIOLATION, quotient, k, qk)
+    H, a, b = picture
+    if b is None:
+        return Classification(ClassKind.SINGLE_COSET, quotient, k, qk,
+                              subgroup=H, rep_a=a)
+    return Classification(ClassKind.TWO_COSETS, quotient, k, qk,
+                          subgroup=H, rep_a=a, rep_b=b,
+                          fused=G.mul[G.inv[a]][b] not in normalizer(G, H))
 
 
 def verify_structure(G: GroupTable, A: ElemSet, result: Classification) -> CheckReport:

@@ -21,6 +21,7 @@ import sys
 
 from .census import (
     DEFAULT_CENSUS_CAP,
+    check_sizes,
     check_sweep_cap,
     classification_census,
     structure_scan,
@@ -162,12 +163,14 @@ def _selected_specs(args) -> list[str]:
     return catalog_specs(args.max_order)
 
 
-def _sweep_groups(args, cap: int) -> list[GroupTable]:
-    """Build every selected group and check it against the caps before any
-    sweep runs, so an oversized group fails the command up front."""
+def _sweep_groups(args, cap: int, sizes=None) -> list[GroupTable]:
+    """Build every selected group and check it against the caps and any
+    ``--sizes`` range before any sweep runs, so a group that would fail
+    fails the command up front."""
     groups = [build_group(spec) for spec in _selected_specs(args)]
     for G in groups:
         check_sweep_cap(G, cap, args.allow_big)
+        check_sizes(G, sizes)
     return groups
 
 
@@ -220,7 +223,7 @@ def _run_census(args):
     cap = _census_cap()
     findings = []
     reports = []
-    groups = _sweep_groups(args, cap)
+    groups = _sweep_groups(args, cap, args.sizes)
     while groups:
         G = groups.pop(0)  # a swept group's caches are freed with it
         report = classification_census(G, sizes=args.sizes, jobs=args.jobs,

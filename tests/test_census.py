@@ -14,6 +14,8 @@ import pytest
 from quotset.census import (
     DEFAULT_CENSUS_CAP,
     HARD_CENSUS_CAP,
+    _canonical_masks,
+    _classify_candidates,
     _structure_hypotheses_exist,
     canonical_form,
     classification_census,
@@ -21,6 +23,7 @@ from quotset.census import (
     iter_canonical_sets,
     structure_scan,
 )
+from quotset.classify import classify
 from quotset.groups import build_group, catalog_specs
 from quotset.setops import ElemSet, left_translate_mask, quotient_mask, quotient_set
 from quotset.subgroups import all_subgroups, ensure_subgroup
@@ -85,6 +88,47 @@ def test_iter_canonical_sets_respects_size_filter(d4):
     assert all(3 <= A.size <= 4 for A in got)
     full = [A for A in iter_canonical_sets(d4) if 3 <= A.size <= 4]
     assert got == full
+
+
+# === the sweep kernel ===
+
+
+@pytest.mark.parametrize("spec", catalog_specs(12) + ["cyclic 13", "dihedral 8"])
+def test_sweep_kernel_matches_canonical_form(make_group, spec):
+    # every partition width the sweeps use up to 8 partitions; orders 1-4
+    # leave some of the kernel's three chunks empty
+    G = make_group(spec)
+    n = G.order
+    expected = {}
+    for m in range(1, 1 << n, 2):
+        A = ElemSet(n, m)
+        if canonical_form(G, A).bits == m:
+            stab = sum(1 for a in A
+                       if {G.mul[G.inv[a]][x] for x in A} == set(A))
+            expected[m] = (m.bit_count(), quotient_mask(G, m), stab)
+    for width in range(min(3, n - 1) + 1):
+        got = {}
+        for pattern in range(1 << width):
+            for m, k, qmask, stab in _canonical_masks(G, 1, n, width, pattern):
+                assert m not in got
+                got[m] = (k, qmask, stab)
+        assert got == expected
+    lo, hi = (n + 1) // 3, (2 * n + 2) // 3
+    assert [m for m, *_ in _canonical_masks(G, lo, hi, 0, 0)] == sorted(
+        m for m, row in expected.items() if lo <= row[0] <= hi)
+
+
+def test_classify_candidates_pick_the_same_picture(make_group):
+    # the census passes classify only the subgroups that could realize a
+    # picture for the set's size; the first hit must not change
+    for spec in catalog_specs(12):
+        G = make_group(spec)
+        subgroups = all_subgroups(G)
+        cands = _classify_candidates(subgroups, 1, G.order)
+        for m, k, qmask, _ in _canonical_masks(G, 1, G.order, 0, 0):
+            if 3 * qmask.bit_count() < 5 * k:
+                A = ElemSet(G.order, m)
+                assert classify(G, A, cands[k], _qmask=qmask) == classify(G, A)
 
 
 # === the classification census ===

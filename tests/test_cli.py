@@ -5,6 +5,7 @@ the console script uses.  Reports with findings exit 1, but no honest finding
 exists while the classification holds, so these tests exercise 0 and 2 only.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -189,6 +190,18 @@ def test_multi_group_sweep_checks_caps_before_sweeping(capsys, monkeypatch, verb
     assert f"{verb[0]} " not in err  # no per-group progress line
 
 
+def test_sizes_range_is_checked_for_every_group_before_sweeping(capsys, tmp_path):
+    # 1..10 fits cyclic 12 but not the later cyclic 4, so nothing may run
+    listing = tmp_path / "groups.txt"
+    listing.write_text("cyclic 12\ncyclic 4\n")
+    code, out, err = run(capsys, ["census", "--groups-file", str(listing),
+                                  "--sizes", "1..10"])
+    assert code == 2
+    assert out == ""
+    assert "1 <= lo <= hi <= 4" in err
+    assert "census " not in err  # no per-group progress line
+
+
 def test_census_cap_env_var_must_be_numeric(capsys, monkeypatch):
     monkeypatch.setenv(CAP_ENV_VAR, "soon")
     code, _, err = run(capsys, ["census", "--group", "cyclic 6"])
@@ -352,3 +365,20 @@ def test_output_file_in_a_missing_directory(capsys, tmp_path):
         "--output", str(tmp_path / "no" / "such" / "dir.txt")])
     assert code == 2
     assert err.startswith("error:")
+
+
+# === golden reports ===
+
+
+# sha256 of stdout, pinned so that any change to a sweep kernel must keep the
+# reports byte-identical (or re-pin them deliberately, with the reason)
+@pytest.mark.parametrize("argv, digest", [
+    (["census", "--max-order", "12", "--format", "json"],
+     "3226ceb4c32ad093636437e833136bc56c78969394adb3dfa0136d66dd41d902"),
+    (["conjecture-scan", "--max-order", "12", "--n", "2", "--format", "json"],
+     "4bea7c9b1f6de9ed22839e99f8220f14635cc1f2a9cb06fe1b4aae4d3421bae7"),
+])
+def test_sweep_reports_match_golden_digests(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
