@@ -34,7 +34,6 @@ so the rendered output is identical for every job count.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -91,9 +90,7 @@ def check_sizes(G: GroupTable, sizes) -> tuple[int, int]:
 
     ``None`` means every size; raises ValueError for a range G cannot hold.
     """
-    if sizes is None:
-        return 1, G.order
-    lo, hi = sizes
+    lo, hi = (1, G.order) if sizes is None else sizes
     if not 1 <= lo <= hi <= G.order:
         raise ValueError(
             f"size range must satisfy 1 <= lo <= hi <= {G.order}, got {sizes!r}")
@@ -101,10 +98,14 @@ def check_sizes(G: GroupTable, sizes) -> tuple[int, int]:
 
 
 def iter_canonical_sets(G: GroupTable, sizes=None):
-    """Yield the canonical representative of every translation orbit, ascending."""
+    """Yield the canonical representative of every translation orbit, ascending,
+    by testing each mask with ``canonical_form``: a check for the sweep kernel,
+    ``_canonical_masks``, that shares none of its code."""
     lo, hi = check_sizes(G, sizes)
-    for m, _, _, _ in _canonical_masks(G, lo, hi, 0, 0):
-        yield ElemSet(G.order, m)
+    for m in range(1, 1 << G.order, 2):
+        A = ElemSet(G.order, m)
+        if lo <= A.size <= hi and canonical_form(G, A).bits == m:
+            yield A
 
 
 def check_sweep_cap(G: GroupTable, cap: int | None, allow_big: bool) -> None:
@@ -145,11 +146,6 @@ def _partition_task(task):
     partition, spec, args, fixed_width, pattern = task
     G = build_group(spec)
     return partition(G, all_subgroups(G), *args, fixed_width, pattern)
-
-
-def _masks_in_range(G: GroupTable, lo: int, hi: int) -> int:
-    """How many masks with the identity bit and a size in lo..hi the sweeps visit."""
-    return sum(math.comb(G.order - 1, k - 1) for k in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +240,16 @@ def _row_tables(G: GroupTable):
 
 
 def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
-                     pattern: int):
+                     pattern: int, visited: list):
     """Yield ``(m, k, qmask, stab)`` for every canonical mask of a partition.
 
     The partition holds the masks with the identity bit set and the next
     ``fixed_width`` bits equal to ``pattern``; only sizes k in lo..hi are
-    visited.  Every left translate inv(a)*A for a in A both feeds the
-    minimality test and joins the quotient set, so ``qmask`` is the
-    quotient set of a canonical mask and ``stab`` the number of a with
-    inv(a)*A = A.  The masks come in ascending order.
+    visited, and once the generator is exhausted ``visited[0]`` has grown by
+    the number of masks visited.  Every left translate inv(a)*A for a in A
+    both feeds the minimality test and joins the quotient set, so ``qmask``
+    is the quotient set of a canonical mask and ``stab`` the number of a
+    with inv(a)*A = A.  The masks come in ascending order.
     """
     w, rows, elems = _row_tables(G)
     (rows0, rows1, rows2), (elems0, elems1, elems2) = rows, elems
@@ -266,6 +263,7 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
         return [v for v in range(size) if v & f == base >> c * w & f]
 
     vals0 = values(0)
+    count = 0
     for c2 in values(2):
         r2, e2, m2 = rows2[c2], elems2[c2], c2 << 2 * w
         for c1 in values(1):
@@ -275,6 +273,7 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
                 k = m.bit_count()
                 if k < lo or k > hi:
                     continue
+                count += 1
                 r0 = rows0[c0]
                 qmask = m
                 stab = 1
@@ -288,6 +287,7 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
                         qmask |= t
                 else:
                     yield m, k, qmask, stab
+    visited[0] += count
 
 
 def _classify_candidates(subgroups, lo: int, hi: int) -> dict:
@@ -307,11 +307,13 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
     # For most sizes these lists are empty or nearly so.
     cands = _classify_candidates(subgroups, lo, hi)
 
+    scanned = [0]
     classes = 0
     violations = []
     best: dict[int, list] = {}
 
-    for m, k, qmask, stab in _canonical_masks(G, lo, hi, fixed_width, pattern):
+    for m, k, qmask, stab in _canonical_masks(G, lo, hi, fixed_width, pattern,
+                                               scanned):
         classes += 1
         qk = qmask.bit_count()
 
@@ -354,7 +356,8 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
                                    f"{H.order} but 3|Q| = {3 * qk} is not "
                                    f"below 5|A| = {5 * k}"))
 
-    return {"classes": classes, "violations": violations, "best": best}
+    return {"scanned": scanned[0], "classes": classes,
+            "violations": violations, "best": best}
 
 
 def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
@@ -375,13 +378,10 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
     best: dict[int, list] = {}
     for partial in partials:
         for k, row in partial["best"].items():
-            cur = best.get(k)
-            if cur is None:
-                best[k] = list(row)
-            else:
-                if (row[0], row[1]) < (cur[0], cur[1]):
-                    cur[0], cur[1] = row[0], row[1]
-                cur[2] += row[2]
+            cur = best.setdefault(k, [row[0], row[1], 0])
+            if (row[0], row[1]) < (cur[0], cur[1]):
+                cur[0], cur[1] = row[0], row[1]
+            cur[2] += row[2]
     violations = tuple(
         CensusViolation(ElemSet(G.order, m), kind, detail)
         for m, kind, detail in
@@ -393,7 +393,7 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
         order=G.order,
         size_lo=lo,
         size_hi=hi,
-        subsets_scanned=_masks_in_range(G, lo, hi),
+        subsets_scanned=sum(p["scanned"] for p in partials),
         canonical_classes=sum(p["classes"] for p in partials),
         violations=violations,
         by_size=by_size,
@@ -597,6 +597,7 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
               if (n + 1) * (2 * -(-k // H.order) - 1) * H.order < (2 * n + 1) * k]
              for k in range(order + 1)]
 
+    scanned = [0]
     classes = 0
     in_range_count = 0
     witnesses = 0
@@ -604,7 +605,8 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
     counterexamples = []
     suff_failures = []
 
-    for m, k, qmask, _ in _canonical_masks(G, 1, order, fixed_width, pattern):
+    for m, k, qmask, _ in _canonical_masks(G, 1, order, fixed_width, pattern,
+                                            scanned):
         classes += 1
         qk = qmask.bit_count()
 
@@ -626,7 +628,7 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
             if not in_range:
                 suff_failures.append(m)
 
-    return {"classes": classes, "in_range": in_range_count,
+    return {"scanned": scanned[0], "classes": classes, "in_range": in_range_count,
             "witnesses": witnesses, "counterexamples": counterexamples,
             "checked": checked, "suff_failures": suff_failures}
 
@@ -652,7 +654,7 @@ def structure_scan(G: GroupTable, max_reps: int, jobs: int = 1,
         group_spec=G.spec,
         order=G.order,
         max_reps=max_reps,
-        subsets_scanned=_masks_in_range(G, 1, G.order),
+        subsets_scanned=sum(p["scanned"] for p in partials),
         canonical_classes=sum(p["classes"] for p in partials),
         in_range=sum(p["in_range"] for p in partials),
         witnesses_found=sum(p["witnesses"] for p in partials),

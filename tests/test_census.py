@@ -106,15 +106,24 @@ def test_sweep_kernel_matches_canonical_form(make_group, spec):
             stab = sum(1 for a in A
                        if {G.mul[G.inv[a]][x] for x in A} == set(A))
             expected[m] = (m.bit_count(), quotient_mask(G, m), stab)
-    for width in range(min(3, n - 1) + 1):
-        got = {}
-        for pattern in range(1 << width):
-            for m, k, qmask, stab in _canonical_masks(G, 1, n, width, pattern):
-                assert m not in got
-                got[m] = (k, qmask, stab)
-        assert got == expected
     lo, hi = (n + 1) // 3, (2 * n + 2) // 3
-    assert [m for m, *_ in _canonical_masks(G, lo, hi, 0, 0)] == sorted(
+    for sizes in ((1, n), (lo, hi)):
+        for width in range(min(3, n - 1) + 1):
+            got = {}
+            for pattern in range(1 << width):
+                visited = [0]
+                for m, k, qmask, stab in _canonical_masks(G, *sizes, width,
+                                                          pattern, visited):
+                    assert m not in got
+                    got[m] = (k, qmask, stab)
+                # every mask of the partition in the size range, counted
+                assert visited[0] == sum(
+                    1 for m in range(1, 1 << n, 2)
+                    if (m >> 1) % (1 << width) == pattern
+                    and sizes[0] <= m.bit_count() <= sizes[1])
+            assert got == {m: row for m, row in expected.items()
+                           if sizes[0] <= row[0] <= sizes[1]}
+    assert [m for m, *_ in _canonical_masks(G, lo, hi, 0, 0, [0])] == sorted(
         m for m, row in expected.items() if lo <= row[0] <= hi)
 
 
@@ -125,7 +134,7 @@ def test_classify_candidates_pick_the_same_picture(make_group):
         G = make_group(spec)
         subgroups = all_subgroups(G)
         cands = _classify_candidates(subgroups, 1, G.order)
-        for m, k, qmask, _ in _canonical_masks(G, 1, G.order, 0, 0):
+        for m, k, qmask, _ in _canonical_masks(G, 1, G.order, 0, 0, [0]):
             if 3 * qmask.bit_count() < 5 * k:
                 A = ElemSet(G.order, m)
                 assert classify(G, A, cands[k], _qmask=qmask) == classify(G, A)
