@@ -19,13 +19,10 @@ admit a witness subgroup.
 Both sweeps read one kernel, ``_canonical_masks``, which runs the canonical
 test and the quotient set in the same pass: every translate inv(a)*A for a
 in A either beats A (not canonical), equals it (a stabilizes A), or joins
-the quotient set.  A mask is read as three chunks of w = ceil(order/3)
-bits, and per-sweep row tables give inv(a)*X for every chunk value X and
-every a at once, so a translate costs three lookups and two ORs.  Three
-chunks keep the tables at 3 * 2^w rows of ``order`` masks, about 200,000
-masks at the hard cap (w = 11); two chunks would need 2^16-row tables
-there, and four would add a lookup to every translate.  The tables live
-only as long as the sweep that built them.
+the quotient set.  It reads the group's row tables
+(``GroupTable.action_tables``): a mask is three chunks of w = ceil(order/3)
+bits, the rows give inv(a)*X for every chunk value X and every a at once,
+and a translate costs three lookups and two ORs.
 
 Multi-process sweeps partition the subsets by their membership pattern on
 the lowest non-identity ids and merge the partial reports in a fixed order,
@@ -37,11 +34,11 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
-from operator import or_
 
 from .classify import (
     ClassKind,
     _coset_picture,
+    _picture_candidates,
     check_sufficiency,
     classify,
     verify_structure,
@@ -71,7 +68,9 @@ __all__ = [
 #: Sweeps refuse groups beyond this order unless explicitly overridden.
 DEFAULT_CENSUS_CAP = 24
 
-#: No override reaches past this; 2^32 subsets is already days of work.
+#: No override reaches past this.  By extrapolation (no order-32 census has
+#: run), its 2^31 masks take about 30 minutes at jobs 2 at the ~1.2 M masks/s
+#: that the order-24 census-deep benchmark measures.
 HARD_CENSUS_CAP = 32
 
 
@@ -210,35 +209,6 @@ class CensusReport:
         }
 
 
-def _row_tables(G: GroupTable):
-    """The sweep kernel's row tables: ``(w, rows, elems)``.
-
-    A mask is split into three chunks of ``w`` bits.  ``rows[c][v][a]`` is the
-    mask inv(a)*X for X the elements that chunk value ``v`` of chunk ``c``
-    marks, and ``elems[c][v]`` lists those elements, without the identity, in
-    ascending order.  Chunks past the order hold only the value 0.
-    """
-    n = G.order
-    w = -(-n // 3)
-    mul, inv = G.mul, G.inv
-    # Lists, not tuples: CPython keeps freed small tuples on per-size free
-    # lists until a full collection, and a many-group census would pile up
-    # every group's rows there.
-    cols = [[1 << mul[inv[a]][x] for a in range(n)] for x in range(n)]
-    rows, elems = [], []
-    for c in range(3):
-        base = c * w
-        r, e = [[0] * n], [[]]
-        for v in range(1, 1 << max(0, min(w, n - base))):
-            low = v & -v
-            x = base + low.bit_length() - 1
-            r.append(list(map(or_, r[v ^ low], cols[x])))
-            e.append([x] + e[v ^ low] if x else e[v ^ low])
-        rows.append(r)
-        elems.append(e)
-    return w, rows, elems
-
-
 def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
                      pattern: int, visited: list):
     """Yield ``(m, k, qmask, stab)`` for every canonical mask of a partition.
@@ -251,8 +221,9 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
     is the quotient set of a canonical mask and ``stab`` the number of a
     with inv(a)*A = A.  The masks come in ascending order.
     """
-    w, rows, elems = _row_tables(G)
-    (rows0, rows1, rows2), (elems0, elems1, elems2) = rows, elems
+    t = G.action_tables()
+    w, rows = t.width, t.rows
+    (rows0, rows1, rows2), (elems0, elems1, elems2) = rows, t.elems
     fixed = (1 << 1 + fixed_width) - 1
     base = 1 | pattern << 1
 
@@ -290,22 +261,11 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
     visited[0] += count
 
 
-def _classify_candidates(subgroups, lo: int, hi: int) -> dict:
-    """Per set size k, the subgroups that could realize either coset picture.
-
-    A single coset of H needs 5k > 3|H|, two cosets need 5k > 9|H| and
-    k <= 2|H|; the lists keep ``subgroups`` order, so ``classify`` returns
-    the same subgroup as with the full list.
-    """
-    return {k: [H for H in subgroups if 5 * k > 3 * H.order and k <= 2 * H.order]
-            for k in range(lo, hi + 1)}
-
-
 def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
     """Sweep the subsets whose low non-identity bits equal ``pattern``."""
     order = G.order
     # For most sizes these lists are empty or nearly so.
-    cands = _classify_candidates(subgroups, lo, hi)
+    cands = {k: _picture_candidates(G, subgroups, k) for k in range(lo, hi + 1)}
 
     scanned = [0]
     classes = 0
@@ -328,7 +288,7 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
 
         if 3 * qk < 5 * k:
             A = ElemSet(order, m)
-            result = classify(G, A, cands[k], _qmask=qmask)
+            result = classify(G, A, _qmask=qmask, _candidates=cands[k])
             if result.kind is ClassKind.VIOLATION:
                 violations.append((m, "necessity",
                                    f"3|Q| = {3 * qk} is below 5|A| = {5 * k} "
@@ -347,7 +307,7 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
         else:
             # The set is not small, so no subgroup may satisfy either
             # picture's hypotheses.
-            picture = _coset_picture(G, m, cands[k])
+            picture = _coset_picture(G, m, *cands[k])
             if picture is not None:
                 H, _, b = picture
                 violations.append((m, "sufficiency",

@@ -105,26 +105,32 @@ def _window_masks(G: GroupTable, hbits: int, d: int) -> tuple[int, int]:
     return d1, d2
 
 
-def _coset_picture(G: GroupTable, amask: int, subgroups):
+def _picture_candidates(G: GroupTable, subgroups, k: int):
+    """The subgroups, in ``subgroups`` order, that could hold a set of size k
+    in one left coset (k <= |H| and 5k > 3|H|), and those that could hold it
+    in two (k <= 2|H| and 5k > 9|H|), the latter with their left cosets."""
+    return ([H for H in subgroups if k <= H.order and 5 * k > 3 * H.order],
+            [(H, left_cosets(G, H)) for H in subgroups
+             if k <= 2 * H.order and 5 * k > 9 * H.order])
+
+
+def _coset_picture(G: GroupTable, amask: int, single, double):
     """The first subgroup whose coset-picture hypotheses A meets, or None.
 
-    Returns ``(H, a, b)`` with a the least element of A.  ``b`` is None when
-    A lies in aH with 5|A| > 3|H|; otherwise every single-coset subgroup was
-    tried first, b is the least element of A outside aH, A lies in aH | bH
-    with 5|A| > 9|H|, and the window HdH | H inv(d) H for d = inv(a)*b has
-    size exactly 2|H|.
+    ``single`` and ``double`` are the candidates for A's size that
+    ``_picture_candidates`` gives.  Returns ``(H, a, b)`` with a the least
+    element of A.  ``b`` is None when A lies in aH; otherwise no single-coset
+    candidate fits, b is the least element of A outside aH, A lies in
+    aH | bH, and the window HdH | H inv(d) H for d = inv(a)*b has size
+    exactly 2|H|.
     """
-    k = amask.bit_count()
     a = (amask & -amask).bit_length() - 1
     # every swept set holds the identity, and translating by it is a no-op
     t0 = left_translate_mask(G, G.inv[a], amask) if a else amask
-    for H in subgroups:
-        if 5 * k > 3 * H.order and t0 & ~H.bits == 0:
+    for H in single:
+        if t0 & ~H.bits == 0:
             return H, a, None
-    for H in subgroups:
-        if 5 * k <= 9 * H.order:
-            continue
-        cosets = left_cosets(G, H)
+    for H, cosets in double:
         rest = amask & ~cosets[a]
         if not rest:
             continue
@@ -141,7 +147,7 @@ def _coset_picture(G: GroupTable, amask: int, subgroups):
 
 def classify(G: GroupTable, A: ElemSet,
              subgroups: tuple[Subgroup, ...] | None = None, *,
-             _qmask: int | None = None) -> Classification:
+             _qmask: int | None = None, _candidates=None) -> Classification:
     """Classify a nonempty set by the structure forced by its quotient set.
 
     When 3|Q| < 5|A| this finds the smallest subgroup realizing the
@@ -151,9 +157,9 @@ def classify(G: GroupTable, A: ElemSet,
     rules out; it is reported rather than asserted so census runs can
     surface it as a finding.
 
-    ``_qmask`` is for the census, which already holds the quotient set of A
-    and passes only the subgroups that could realize either picture; it is
-    trusted as given, and ``verify_structure`` recomputes it.
+    ``_qmask`` and ``_candidates`` are for the census, which already holds
+    the quotient set of A and ``_picture_candidates`` for A's size; both are
+    trusted as given, and ``verify_structure`` recomputes the quotient set.
     """
     if A.n != G.order:
         raise ValueError(f"set is over order {A.n}, group has order {G.order}")
@@ -167,9 +173,10 @@ def classify(G: GroupTable, A: ElemSet,
     if 3 * qk >= 5 * k:
         return Classification(ClassKind.NOT_SMALL, quotient, k, qk)
 
-    if subgroups is None:
-        subgroups = all_subgroups(G)
-    picture = _coset_picture(G, amask, subgroups)
+    if _candidates is None:
+        _candidates = _picture_candidates(
+            G, all_subgroups(G) if subgroups is None else subgroups, k)
+    picture = _coset_picture(G, amask, *_candidates)
     if picture is None:
         return Classification(ClassKind.VIOLATION, quotient, k, qk)
     H, a, b = picture

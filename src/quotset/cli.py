@@ -33,10 +33,11 @@ from .classify import (
     verify_structure,
 )
 from .groups import (
+    DEFAULT_ORDER_CAP,
     GroupSpecError,
     GroupTable,
     build_group,
-    catalog_specs,
+    catalog_entries,
     parse_spec_lines,
     verify_group_axioms,
 )
@@ -160,7 +161,15 @@ def _selected_specs(args) -> list[str]:
         if not specs:
             raise ValueError(f"no group specs found in {args.groups_file}")
         return specs
-    return catalog_specs(args.max_order)
+    return [spec for _, spec in _catalog(args.max_order)]
+
+
+def _catalog(max_order: int) -> list[tuple[int, str]]:
+    """The catalog up to ``max_order``, refused past ``build_group``'s cap."""
+    if max_order > DEFAULT_ORDER_CAP:
+        raise ValueError(f"--max-order {max_order} exceeds the group order cap "
+                         f"{DEFAULT_ORDER_CAP}")
+    return catalog_entries(max_order)
 
 
 def _sweep_groups(args, cap: int, sizes=None) -> list[GroupTable]:
@@ -355,12 +364,11 @@ def _run_catalog(args):
             "findings": [],
         }
         return doc, []
-    specs = catalog_specs(args.max_order)
     doc = {
         "command": "catalog",
         "max_order": args.max_order,
-        "groups": [{"spec": spec, "order": build_group(spec).order}
-                   for spec in specs],
+        "groups": [{"spec": spec, "order": order}
+                   for order, spec in _catalog(args.max_order)],
         "findings": [],
     }
     return doc, []

@@ -31,6 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from functools import reduce
+from operator import add, or_
 from typing import NamedTuple
 
 from .reports import CheckItem, CheckReport
@@ -42,6 +44,7 @@ __all__ = [
     "GroupTable",
     "build_group",
     "verify_group_axioms",
+    "catalog_entries",
     "catalog_specs",
     "parse_spec_lines",
 ]
@@ -67,41 +70,64 @@ class GroupSpecError(ValueError):
 
 
 class _ActionTables(NamedTuple):
-    """Chunked lookup tables applying an element action to a whole bitmask.
+    """Row tables that apply group actions to whole bitmasks.
 
-    A mask is split into chunks of ``width`` bits; ``left[a][c][v]`` is the
-    image mask of the chunk value ``v`` under x -> a*x, so translating a mask
-    costs one lookup and one OR per chunk.
+    A mask is three chunks of ``width`` = ceil(order/3) bits.  For the
+    elements X that value ``v`` of chunk ``c`` marks, ``rows[c][v][a]`` is
+    the mask inv(a)*X, ``right[c][v][g]`` is X*g, ``invert[c][v]`` holds the
+    inverses of X, and ``elems[c][v]`` lists X without the identity,
+    ascending; chunks past the order hold only the value 0.  A translate is
+    three lookups and two ORs, and all translates of one set share its rows.
+
+    Three chunks keep ``rows`` at 3 * 2^w rows of ``order`` masks, about
+    200,000 masks at the hard sweep cap (order 32, w = 11); two chunks would
+    need 2^16-row tables there, and four would add a lookup to every
+    translate.  Past order 36 a chunk would need over 2^12 rows (2^24 at
+    order 70), so it is stored as sub-chunks of at most 8 bits (``_Wide``).
     """
 
     width: int
     chunk_mask: int
-    nchunks: int
-    left: tuple        # left[a]     tables for x -> a*x
-    right: tuple       # right[g]    tables for x -> x*g
-    inv_left: tuple    # inv_left[a] tables for x -> inv(a)*x
-    invert: tuple      # tables for x -> inv(x)
+    rows: list
+    right: list
+    invert: list
+    elems: list
 
 
-def _chunk_layout(order: int) -> tuple[int, int]:
-    nchunks = (order + 11) // 12
-    width = (order + nchunks - 1) // nchunks
-    return nchunks, width
+def _or_rows(r, s):
+    return list(map(or_, r, s))
 
 
-def _perm_tables(perm, order, nchunks, width):
-    """Lookup tables that apply the permutation ``perm`` to a bitmask."""
-    tables = []
-    for c in range(nchunks):
-        bits = min(width, order - c * width)
-        size = 1 << bits
-        table = [0] * size
-        base = c * width
-        for v in range(1, size):
-            low = v & -v
-            table[v] = table[v ^ low] | (1 << perm[base + low.bit_length() - 1])
-        tables.append(table)
-    return tuple(tables)
+class _Wide:
+    """One chunk stored as sub-chunks of ``width`` bits: entry ``v`` folds
+    with ``join`` the sub-chunk entries that the slices of ``v`` pick."""
+
+    __slots__ = ("parts", "width", "join")
+
+    def __init__(self, parts, width, join):
+        self.parts, self.width, self.join = parts, width, join
+
+    def __getitem__(self, v):
+        w, cm = self.width, (1 << self.width) - 1
+        return reduce(self.join, [part[v >> i * w & cm] for i, part in enumerate(self.parts)])
+
+
+def _chunk_tables(lefts, rights, inv, base, bits):
+    """``(rows, right, invert, elems)`` of the chunk of ``bits`` bits at ``base``."""
+    # Lists, not tuples: CPython keeps freed small tuples on per-size free
+    # lists until a full collection, and a many-group sweep would pile up
+    # every group's rows there.
+    n = len(inv)
+    r, q, i, e = [[0] * n], [[0] * n], [0], [[]]
+    for v in range(1, 1 << max(0, bits)):
+        low = v & -v
+        x = base + low.bit_length() - 1
+        rest = v ^ low
+        r.append(list(map(or_, r[rest], lefts[x])))
+        q.append(list(map(or_, q[rest], rights[x])))
+        i.append(i[rest] | 1 << inv[x])
+        e.append([x] + e[rest] if x else e[rest])
+    return r, q, i, e
 
 
 class GroupTable:
@@ -137,15 +163,24 @@ class GroupTable:
     def action_tables(self) -> _ActionTables:
         tables = self._tables
         if tables is None:
-            n = self.order
-            nchunks, width = _chunk_layout(n)
-            left = tuple(_perm_tables(self.mul[a], n, nchunks, width) for a in range(n))
-            cols = [[self.mul[x][g] for x in range(n)] for g in range(n)]
-            right = tuple(_perm_tables(col, n, nchunks, width) for col in cols)
-            inv_left = tuple(left[self.inv[a]] for a in range(n))
-            invert = _perm_tables(self.inv, n, nchunks, width)
-            tables = _ActionTables(width, (1 << width) - 1, nchunks,
-                                   left, right, inv_left, invert)
+            n, mul, inv = self.order, self.mul, self.inv
+            w = -(-n // 3)
+            # lefts[x][a] is the bit of inv(a)*x, and rights[x][g] that of x*g
+            lefts = [[1 << mul[inv[a]][x] for a in range(n)] for x in range(n)]
+            rights = [[1 << y for y in mul[x]] for x in range(n)]
+            chunks = []
+            for base in range(0, 3 * w, w):
+                bits = min(w, n - base)
+                if w <= 12:
+                    chunks.append(_chunk_tables(lefts, rights, inv, base, bits))
+                    continue
+                s = -(-w // -(-w // 8))  # the fewest sub-chunks, evenly wide
+                subs = [_chunk_tables(lefts, rights, inv, base + j, min(s, bits - j))
+                        for j in range(0, w, s)]
+                # rows and right rows join entrywise, masks by OR, lists end to end
+                chunks.append([_Wide([sub[k] for sub in subs], s, join)
+                               for k, join in enumerate((_or_rows, _or_rows, or_, add))])
+            tables = _ActionTables(w, (1 << w) - 1, *map(list, zip(*chunks)))
             self._tables = tables
         return tables
 
@@ -496,8 +531,9 @@ def _abelian_product_entries(max_order: int) -> list[tuple[int, str]]:
     return entries
 
 
-def catalog_specs(max_order: int) -> list[str]:
-    """Deterministic list of catalog specs with order at most ``max_order``.
+def catalog_entries(max_order: int) -> list[tuple[int, str]]:
+    """Deterministic list of ``(order, spec)`` catalog entries with order at
+    most ``max_order``, sorted by order and then spec.
 
     The catalog covers all cyclic, dihedral, and dicyclic groups in range,
     the symmetric groups, the even permutations of four points, and every
@@ -513,5 +549,10 @@ def catalog_specs(max_order: int) -> list[str]:
     if max_order >= 12:
         entries.append((12, ALTERNATING4_SPEC))
     entries.extend(_abelian_product_entries(max_order))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return [spec for _, spec in entries]
+    entries.sort()
+    return entries
+
+
+def catalog_specs(max_order: int) -> list[str]:
+    """The specs of ``catalog_entries(max_order)``, in the same order."""
+    return [spec for _, spec in catalog_entries(max_order)]

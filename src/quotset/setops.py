@@ -103,54 +103,52 @@ def parse_set_literal(text: str, n: int) -> ElemSet:
 # mask kernels
 
 
-def _apply(tables, mask, width, cmask):
-    out = 0
-    for table in tables:
-        out |= table[mask & cmask]
-        mask >>= width
-        if not mask:
-            break
-    return out
-
-
 def left_translate_mask(G: GroupTable, a: int, mask: int) -> int:
     t = G.action_tables()
-    return _apply(t.left[a], mask, t.width, t.chunk_mask)
+    w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.rows
+    a = G.inv[a]
+    return t0[mask & cm][a] | t1[mask >> w & cm][a] | t2[mask >> 2 * w & cm][a]
 
 
 def right_translate_mask(G: GroupTable, g: int, mask: int) -> int:
     t = G.action_tables()
-    return _apply(t.right[g], mask, t.width, t.chunk_mask)
+    w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.right
+    return t0[mask & cm][g] | t1[mask >> w & cm][g] | t2[mask >> 2 * w & cm][g]
 
 
 def invert_mask(G: GroupTable, mask: int) -> int:
     t = G.action_tables()
-    return _apply(t.invert, mask, t.width, t.chunk_mask)
+    w, cm, (i0, i1, i2) = t.width, t.chunk_mask, t.invert
+    return i0[mask & cm] | i1[mask >> w & cm] | i2[mask >> 2 * w & cm]
 
 
 def product_mask(G: GroupTable, amask: int, bmask: int) -> int:
     """Bitmask of all products a*b with a in A and b in B."""
+    # a*B = inv(x)*B for x = inv(a), entry x of B's rows
     t = G.action_tables()
-    left, width, cmask = t.left, t.width, t.chunk_mask
-    out = 0
-    bits = amask
-    while bits:
-        low = bits & -bits
-        out |= _apply(left[low.bit_length() - 1], bmask, width, cmask)
-        bits ^= low
+    w, cm, (t0, t1, t2), (e0, e1, e2) = t.width, t.chunk_mask, t.rows, t.elems
+    r0, r1, r2 = t0[bmask & cm], t1[bmask >> w & cm], t2[bmask >> 2 * w & cm]
+    inv = G.inv
+    out = bmask if amask & 1 else 0
+    for a in e0[amask & cm] + e1[amask >> w & cm] + e2[amask >> 2 * w & cm]:
+        x = inv[a]
+        out |= r0[x] | r1[x] | r2[x]
     return out
 
 
 def quotient_mask(G: GroupTable, mask: int) -> int:
     """Bitmask of all quotients inv(a)*b with a, b in the set."""
-    t = G.action_tables()
-    inv_left, width, cmask = t.inv_left, t.width, t.chunk_mask
-    out = 0
-    bits = mask
-    while bits:
-        low = bits & -bits
-        out |= _apply(inv_left[low.bit_length() - 1], mask, width, cmask)
-        bits ^= low
+    return _quotient(G.action_tables(), mask)
+
+
+def _quotient(t, mask: int) -> int:
+    # for callers that hold the tables already, such as the closure loop
+    w, cm, (t0, t1, t2), (e0, e1, e2) = t.width, t.chunk_mask, t.rows, t.elems
+    c0, c1, c2 = mask & cm, mask >> w & cm, mask >> 2 * w & cm
+    r0, r1, r2 = t0[c0], t1[c1], t2[c2]
+    out = mask if mask & 1 else 0
+    for a in e0[c0] + e1[c1] + e2[c2]:
+        out |= r0[a] | r1[a] | r2[a]
     return out
 
 
@@ -161,49 +159,36 @@ def rep_counts_quotient_mask(G: GroupTable, amask: int, bmask: int) -> list[int]
     the quotient-style product of the two sets.
     """
     t = G.action_tables()
-    right, width, cmask = t.right, t.width, t.chunk_mask
-    return [(_apply(right[g], amask, width, cmask) & bmask).bit_count()
-            for g in range(G.order)]
+    w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.right
+    return [((x | y | z) & bmask).bit_count() for x, y, z in
+            zip(t0[amask & cm], t1[amask >> w & cm], t2[amask >> 2 * w & cm])]
 
 
 def rep_counts_product_mask(G: GroupTable, amask: int, bmask: int) -> list[int]:
     """counts[g] = number of pairs (a, b) in A x B with a*b = g."""
+    # a*b = g exactly when a lies in g inv(B), the entry inv(g) of inv(B)'s rows
     t = G.action_tables()
-    left, invert, width, cmask = t.left, t.invert, t.width, t.chunk_mask
-    binv = _apply(invert, bmask, width, cmask)
-    return [(_apply(left[g], binv, width, cmask) & amask).bit_count()
-            for g in range(G.order)]
+    w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.rows
+    binv = invert_mask(G, bmask)
+    r0, r1, r2 = t0[binv & cm], t1[binv >> w & cm], t2[binv >> 2 * w & cm]
+    return [((r0[x] | r1[x] | r2[x]) & amask).bit_count() for x in G.inv]
 
 
 def subgroup_closure_mask(G: GroupTable, mask: int) -> int:
     """Bitmask of the subgroup generated by the elements of ``mask``."""
+    # A set S holding the identity lies inside inv(S)*S, which stays inside
+    # the subgroup S generates, and equals S only when S is a subgroup.
     t = G.action_tables()
-    left, width, cmask = t.left, t.width, t.chunk_mask
     cur = mask | 1
     while True:
-        nxt = cur
-        bits = cur
-        while bits:
-            low = bits & -bits
-            nxt |= _apply(left[low.bit_length() - 1], cur, width, cmask)
-            bits ^= low
+        nxt = _quotient(t, cur)
         if nxt == cur:
             return cur
         cur = nxt
 
 
 def is_subgroup_mask(G: GroupTable, mask: int) -> bool:
-    if not mask & 1:
-        return False
-    t = G.action_tables()
-    left, width, cmask = t.left, t.width, t.chunk_mask
-    bits = mask
-    while bits:
-        low = bits & -bits
-        if _apply(left[low.bit_length() - 1], mask, width, cmask) != mask:
-            return False
-        bits ^= low
-    return True
+    return bool(mask & 1) and _quotient(G.action_tables(), mask) == mask
 
 
 # ---------------------------------------------------------------------------

@@ -118,24 +118,13 @@ def normalizer(G: GroupTable, H: Subgroup) -> ElemSet:
 def left_cosets(G: GroupTable, H: Subgroup) -> tuple[int, ...]:
     """``cosets[x]`` is the left coset xH as a bitmask, for every element x.
 
-    Built on first use with one translation per coset, and cached per
-    subgroup on the group table.
+    Built on first use and cached per subgroup on the group table.
     """
     hbits = H.bits
     cosets = G._cosets.get(hbits)
     if cosets is None:
-        table = [0] * G.order
-        remaining = G.full_mask
-        while remaining:
-            coset = left_translate_mask(G, (remaining & -remaining).bit_length() - 1,
-                                        hbits)
-            remaining &= ~coset
-            bits = coset
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                table[low.bit_length() - 1] = coset
-        cosets = G._cosets[hbits] = tuple(table)
+        cosets = G._cosets[hbits] = tuple(left_translate_mask(G, x, hbits)
+                                          for x in range(G.order))
     return cosets
 
 

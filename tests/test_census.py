@@ -15,7 +15,6 @@ from quotset.census import (
     DEFAULT_CENSUS_CAP,
     HARD_CENSUS_CAP,
     _canonical_masks,
-    _classify_candidates,
     _structure_hypotheses_exist,
     canonical_form,
     classification_census,
@@ -23,13 +22,14 @@ from quotset.census import (
     iter_canonical_sets,
     structure_scan,
 )
-from quotset.classify import classify
+from quotset.classify import _coset_picture, _picture_candidates, classify
 from quotset.groups import build_group, catalog_specs
 from quotset.setops import ElemSet, left_translate_mask, quotient_mask, quotient_set
 from quotset.subgroups import all_subgroups, ensure_subgroup
 
 from oracles import (
     naive_canonical,
+    naive_double_coset,
     naive_min_quotients,
     naive_quotient,
     random_subset,
@@ -127,17 +127,48 @@ def test_sweep_kernel_matches_canonical_form(make_group, spec):
         m for m, row in expected.items() if lo <= row[0] <= hi)
 
 
+def _naive_picture(G, amask, subgroups):
+    # the two coset pictures straight off their hypotheses, over every
+    # subgroup: the first H whose left coset holds A with 5|A| > 3|H|, else
+    # the first H whose two left cosets hold A with 5|A| > 9|H| and a
+    # window HdH | H inv(d) H of size 2|H|
+    A = [x for x in range(G.order) if amask >> x & 1]
+    a = A[0]
+    for H in subgroups:
+        if 5 * len(A) > 3 * H.order and {G.mul[a][h] for h in H} >= set(A):
+            return H, a, None
+    for H in subgroups:
+        coset_a = {G.mul[a][h] for h in H}
+        rest = [x for x in A if x not in coset_a]
+        if 5 * len(A) <= 9 * H.order or not rest:
+            continue
+        b = rest[0]
+        if not {G.mul[b][h] for h in H} >= set(rest):
+            continue
+        d = G.mul[G.inv[a]][b]
+        window = (naive_double_coset(G, H, d)
+                  | naive_double_coset(G, H, G.inv[d]))
+        if len(window) == 2 * H.order:
+            return H, a, b
+    return None
+
+
 def test_classify_candidates_pick_the_same_picture(make_group):
-    # the census passes classify only the subgroups that could realize a
-    # picture for the set's size; the first hit must not change
+    # the census passes classify, and its screen of the sets that are not
+    # small, only the subgroups that could realize each picture for the
+    # set's size; the first hit must not change
     for spec in catalog_specs(12):
         G = make_group(spec)
         subgroups = all_subgroups(G)
-        cands = _classify_candidates(subgroups, 1, G.order)
         for m, k, qmask, _ in _canonical_masks(G, 1, G.order, 0, 0, [0]):
+            cands = _picture_candidates(G, subgroups, k)
+            picture = _coset_picture(G, m, *cands)
+            assert picture == _naive_picture(G, m, subgroups)
             if 3 * qmask.bit_count() < 5 * k:
                 A = ElemSet(G.order, m)
-                assert classify(G, A, cands[k], _qmask=qmask) == classify(G, A)
+                assert classify(G, A, _qmask=qmask, _candidates=cands) == classify(G, A)
+            else:
+                assert picture is None
 
 
 # === the classification census ===

@@ -10,7 +10,9 @@ import json
 
 import pytest
 
+from quotset import cli
 from quotset.cli import CAP_ENV_VAR, main
+from quotset.groups import build_group, catalog_specs
 
 
 def run(capsys, argv):
@@ -339,6 +341,29 @@ def test_catalog_listing_json(capsys):
     assert {"spec": "symmetric 3", "order": 6} in doc["groups"]
 
 
+def test_catalog_orders_come_from_the_specs(capsys):
+    code, out, _ = run(capsys, [
+        "catalog", "--max-order", "30", "--format", "json"])
+    assert code == 0
+    groups = json.loads(out)["groups"]
+    assert [g["spec"] for g in groups] == catalog_specs(30)
+    for g in groups:
+        assert g["order"] == build_group(g["spec"]).order, g["spec"]
+
+
+@pytest.mark.parametrize("verb", [
+    ["catalog"], ["census"], ["conjecture-scan", "--n", "1"]])
+def test_huge_max_order_fails_before_any_work(capsys, monkeypatch, verb):
+    def enumerate_catalog(max_order):
+        raise AssertionError(f"catalog enumerated up to order {max_order}")
+
+    monkeypatch.setattr(cli, "catalog_entries", enumerate_catalog)
+    code, out, err = run(capsys, [verb[0], "--max-order", str(10 ** 9), *verb[1:]])
+    assert code == 2
+    assert out == ""
+    assert "exceeds the group order cap 5040" in err
+
+
 def test_catalog_element_name_map(capsys):
     code, out, _ = run(capsys, ["catalog", "--group", "dihedral 4"])
     assert code == 0
@@ -377,6 +402,10 @@ def test_output_file_in_a_missing_directory(capsys, tmp_path):
      "3226ceb4c32ad093636437e833136bc56c78969394adb3dfa0136d66dd41d902"),
     (["conjecture-scan", "--max-order", "12", "--n", "2", "--format", "json"],
      "4bea7c9b1f6de9ed22839e99f8220f14635cc1f2a9cb06fe1b4aae4d3421bae7"),
+    (["census", "--max-order", "16", "--format", "json"],
+     "5e584bba6e1e36f3e5047a40148c2a90c2febe4a593a49dba0449a40519a279e"),
+    (["conjecture-scan", "--max-order", "16", "--n", "3", "--format", "json"],
+     "1297da09eb73ec1c7235c782db4566d2a8d9376dbcabb528a15174536a5894be"),
 ])
 def test_sweep_reports_match_golden_digests(capsys, argv, digest):
     code, out, _ = run(capsys, argv)

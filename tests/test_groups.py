@@ -40,6 +40,64 @@ def test_identity_is_element_zero(make_group):
         assert all(G.mul[0][x] == x == G.mul[x][0] for x in range(G.order))
 
 
+# === action tables ===
+
+
+def _check_chunk(G, base, tables):
+    # every stored entry against mul and inv: entry v lists, inverts or
+    # translates the elements X that the bits of v mark, counted from base;
+    # distinct elements have distinct images, so each sum is their union
+    rows, right, invert, elems = tables
+    sets = [[base + i for i in range(v.bit_length()) if v >> i & 1]
+            for v in range(len(rows))]
+    assert elems == [[x for x in X if x] for X in sets]
+    assert invert == [sum({1 << G.inv[x] for x in X}) for X in sets]
+    for a in range(G.order):
+        left_bits = [1 << G.mul[G.inv[a]][x] for x in range(G.order)]
+        right_bits = [1 << G.mul[x][a] for x in range(G.order)]
+        assert [row[a] for row in rows] == [
+            sum(map(left_bits.__getitem__, X)) for X in sets]
+        assert [row[a] for row in right] == [
+            sum(map(right_bits.__getitem__, X)) for X in sets]
+
+
+def test_action_tables_layout_and_entries(make_group):
+    # Three chunks of ceil(n/3) bits up to order 36; past it each chunk is
+    # stored as sub-chunks of at most 8 bits.  The orders run upwards so a
+    # layout that would ask for 2^24-row chunks at cyclic 70 fails at
+    # cyclic 37 first.
+    wide = {37: (13, 7, 2), 70: (24, 8, 3)}  # width, sub-chunk width, sub-chunks
+    groups = [make_group(spec) for spec in catalog_specs(16)]
+    groups += [build_group(f"cyclic {n}") for n in (33, 36, 37, 70)]
+    for G in groups:
+        n = G.order
+        t = G.action_tables()
+        w = -(-n // 3)
+        assert t.width == w and t.chunk_mask == (1 << w) - 1
+        tables = (t.rows, t.right, t.invert, t.elems)
+        assert all(len(table) == 3 for table in tables)
+        for c in range(3):
+            base, bits = c * w, max(0, min(w, n - c * w))
+            if n <= 36:
+                assert all(len(table[c]) == 1 << bits for table in tables)
+                _check_chunk(G, base, [table[c] for table in tables])
+                continue
+            s = t.rows[c].width
+            assert (w, s, len(t.rows[c].parts)) == wide[n]
+            for j, parts in enumerate(zip(*(table[c].parts for table in tables))):
+                assert all(len(part) <= 1 << 8 for part in parts)
+                _check_chunk(G, base + j * s, parts)
+            # a lookup joins the sub-chunk entries
+            full = (1 << bits) - 1
+            X = range(base, base + bits)
+            assert t.elems[c][full] == [x for x in X if x]
+            assert t.invert[c][full] == sum(1 << G.inv[x] for x in X)
+            assert t.rows[c][full] == [sum(1 << y for y in {G.mul[G.inv[a]][x] for x in X})
+                                       for a in range(n)]
+            assert t.right[c][full] == [sum(1 << y for y in {G.mul[x][a] for x in X})
+                                        for a in range(n)]
+
+
 # === family conventions ===
 
 
