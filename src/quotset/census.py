@@ -107,16 +107,17 @@ def iter_canonical_sets(G: GroupTable, sizes=None):
             yield A
 
 
-def check_sweep_cap(G: GroupTable, cap: int | None, allow_big: bool) -> None:
-    """Raise ValueError if the sweeps would refuse G under these caps."""
+def check_sweep_cap(order: int, cap: int | None, allow_big: bool) -> None:
+    """Raise ValueError if the sweeps would refuse a group of this order
+    under these caps."""
     if cap is None:
         cap = DEFAULT_CENSUS_CAP
-    if G.order > HARD_CENSUS_CAP:
+    if order > HARD_CENSUS_CAP:
         raise ValueError(
-            f"order {G.order} exceeds the hard sweep cap {HARD_CENSUS_CAP}")
-    if G.order > cap and not allow_big:
+            f"order {order} exceeds the hard sweep cap {HARD_CENSUS_CAP}")
+    if order > cap and not allow_big:
         raise ValueError(
-            f"order {G.order} exceeds the sweep cap {cap}; "
+            f"order {order} exceeds the sweep cap {cap}; "
             "pass allow_big=True (CLI: --i-know-this-is-big) to proceed anyway")
 
 
@@ -331,7 +332,7 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
     picture's hypotheses.
     """
     start = time.perf_counter()
-    check_sweep_cap(G, cap, allow_big)
+    check_sweep_cap(G.order, cap, allow_big)
     lo, hi = check_sizes(G, sizes)
     partials = _sweep_partitions(G, jobs, _census_partition, lo, hi)
 
@@ -370,40 +371,99 @@ class StructureWitness:
     """A subgroup and representative set certifying the bounded-rep structure.
 
     ``reps`` holds the smallest element of the scanned set in each met left
-    coset of ``subgroup``; all recorded checks passed, covering both the
-    witness hypotheses and the derived description of the quotient set.
+    coset of ``subgroup``.  ``passed`` holds each clause, in ``checks``
+    order, as the search evaluated it: None for the structural shape that
+    does not apply, and none of them False.  The sizes are the ones the
+    clauses compared: |A|, |Q|, the coset cover |A0 H| and the sandwich
+    |H A0^-1 A0 H|.
+
+    ``checks`` formats the clauses as a report, covering both the witness
+    hypotheses and the derived description of the quotient set.  It is
+    built on each read, from the stored values alone; the search never
+    builds it.
     """
 
     subgroup: Subgroup
     reps: ElemSet
     max_reps: int
-    checks: CheckReport
+    set_size: int
+    quotient_size: int
+    cover_size: int
+    sandwich_size: int
+    passed: tuple[bool | None, ...]
+
+    @property
+    def checks(self) -> CheckReport:
+        (limit, normal, window, within, disjoint, dense, product, size,
+         bracket) = self.passed
+        n, h, mc = self.max_reps, self.subgroup.order, self.reps.size
+        k, ch = self.set_size, self.cover_size
+        target = (2 * mc - 1) * h
+        if window is None:
+            normal_detail = "all representatives share one coset of the normalizer"
+            window_detail = "skipped: the representatives share a normalizer coset"
+        else:
+            normal_detail = "skipped: representatives span several normalizer cosets"
+            window_detail = (f"|H A0^-1 A0 H| = {self.sandwich_size}, "
+                             f"(2|A0|-1)|H| = {target}")
+        return CheckReport("structure witness checks", (
+            CheckItem("reps_within_limit", limit, f"|A0| = {mc}, limit {n}"),
+            CheckItem("normalizer_shape", normal, normal_detail),
+            CheckItem("window_shape", window, window_detail),
+            CheckItem("set_within_rep_cosets", within, ""),
+            CheckItem("rep_cosets_disjoint", disjoint,
+                      f"|A0 H| = {ch}, |A0||H| = {mc * h}"),
+            CheckItem("density_lower_bound", dense,
+                      f"(2n+1)|A| = {(2 * n + 1) * k}, "
+                      f"(n+1)(2|A0|-1)|H| = {(n + 1) * target}"),
+            CheckItem("quotient_product_match", product,
+                      "" if product else "H A0^-1 A0 H differs from the quotient set"),
+            CheckItem("quotient_size_match", size,
+                      f"|Q| = {self.quotient_size}, (2|A0|-1)|H| = {target}"),
+            CheckItem("density_bracket", bracket,
+                      f"|A| = {k}, |A0 H| = {ch}, slack term n|H| = {n * h}"),
+        ))
 
 
 def _hypothesis_subgroups(G: GroupTable, amask: int, n: int, subgroups):
-    """Yield ``(H, mc, rep_bits, sharing)`` for each subgroup H, in order,
-    that A meets in mc <= n left cosets with (2n+1)|A| > (n+1)(2mc-1)|H|.
+    """Yield ``(H, mc, rep_bits, cover, sandwich, window)`` for each subgroup
+    H, in order, that A meets in mc <= n left cosets with
+    (2n+1)|A| > (n+1)(2mc-1)|H|.
 
-    ``rep_bits`` marks the smallest element of A in each met coset, and
-    ``sharing`` says whether they all lie in one left coset of the
-    normalizer of H.
+    ``rep_bits`` marks A0, the smallest element of A in each met coset.  The
+    rest depends only on H and A0, so it is computed once per pair and kept
+    in ``G._rep_products``: ``cover`` is the coset cover A0 H, ``sandwich``
+    is H A0^-1 A0 H, and ``window`` is the window-shape clause.  That is
+    None when A0 lies in one left coset of the normalizer of H (the
+    normalizer shape holds), and otherwise whether the sandwich collapses to
+    (2mc-1)|H| elements; so a structural shape holds exactly when
+    ``window`` is not False.
     """
     k = amask.bit_count()
+    memo = G._rep_products
     for H in subgroups:
         cosets = left_cosets(G, H)
         reps = []
+        rep_bits = 0
         remaining = amask
         while remaining and len(reps) < n:
             x = (remaining & -remaining).bit_length() - 1
             reps.append(x)
+            rep_bits |= 1 << x
             remaining &= ~cosets[x]
         mc = len(reps)
         if remaining or (2 * n + 1) * k <= (n + 1) * (2 * mc - 1) * H.order:
             continue
-        norm_bits = normalizer(G, H).bits
-        x0inv = G.inv[reps[0]]
-        yield (H, mc, sum(1 << x for x in reps),
-               all(norm_bits >> G.mul[x0inv][x] & 1 for x in reps[1:]))
+        entry = memo.get((H.bits, rep_bits))
+        if entry is None:
+            sandwich = _sandwich(G, H, rep_bits)
+            norm_bits = normalizer(G, H).bits
+            x0inv = G.inv[reps[0]]
+            window = (None if all(norm_bits >> G.mul[x0inv][x] & 1 for x in reps[1:])
+                      else sandwich.bit_count() == (2 * mc - 1) * H.order)
+            entry = memo[H.bits, rep_bits] = (
+                product_mask(G, rep_bits, H.bits), sandwich, window)
+        yield H, mc, rep_bits, *entry
 
 
 def _sandwich(G: GroupTable, H: Subgroup, rep_bits: int) -> int:
@@ -433,6 +493,11 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
     rep multiplies the sandwich by subgroup factors that H absorbs), so the
     minimal representatives lose nothing.
 
+    Each clause is evaluated once per candidate subgroup, as a plain bool,
+    from the products that ``_hypothesis_subgroups`` memoises per
+    (H, A0); the first subgroup with no failed clause is the witness, and
+    its report is formatted only when ``checks`` is read.
+
     ``_qmask`` is for the sweeps, which already hold the quotient set of A;
     it is trusted as given.
     """
@@ -450,48 +515,25 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
     qmask = quotient_mask(G, amask) if _qmask is None else _qmask
     qk = qmask.bit_count()
 
-    for H, mc, rep_bits, sharing in _hypothesis_subgroups(G, amask, n, subgroups):
+    for H, mc, rep_bits, cover, sandwich, window in _hypothesis_subgroups(
+            G, amask, n, subgroups):
         h = H.order
-        rep_cosets = product_mask(G, rep_bits, H.bits)
-        ch = rep_cosets.bit_count()
-        sandwich = _sandwich(G, H, rep_bits)
+        ch = cover.bit_count()
         target = (2 * mc - 1) * h
-        if sharing:
-            shape_items = (
-                CheckItem("normalizer_shape", True,
-                          "all representatives share one coset of the normalizer"),
-                CheckItem("window_shape", None,
-                          "skipped: the representatives share a normalizer coset"),
-            )
-        else:
-            shape_items = (
-                CheckItem("normalizer_shape", None,
-                          "skipped: representatives span several normalizer cosets"),
-                CheckItem("window_shape", sandwich.bit_count() == target,
-                          f"|H A0^-1 A0 H| = {sandwich.bit_count()}, "
-                          f"(2|A0|-1)|H| = {target}"),
-            )
-        items = (
-            CheckItem("reps_within_limit", mc <= n, f"|A0| = {mc}, limit {n}"),
-            *shape_items,
-            CheckItem("set_within_rep_cosets", amask & ~rep_cosets == 0, ""),
-            CheckItem("rep_cosets_disjoint", ch == mc * h,
-                      f"|A0 H| = {ch}, |A0||H| = {mc * h}"),
-            CheckItem("density_lower_bound", True,
-                      f"(2n+1)|A| = {(2 * n + 1) * k}, "
-                      f"(n+1)(2|A0|-1)|H| = {(n + 1) * (2 * mc - 1) * h}"),
-            CheckItem("quotient_product_match", sandwich == qmask,
-                      "" if sandwich == qmask else
-                      "H A0^-1 A0 H differs from the quotient set"),
-            CheckItem("quotient_size_match", qk == target,
-                      f"|Q| = {qk}, (2|A0|-1)|H| = {target}"),
-            CheckItem("density_bracket",
-                      k <= ch and (2 * n + 1) * ch < (2 * n + 1) * k + n * h,
-                      f"|A| = {k}, |A0 H| = {ch}, slack term n|H| = {n * h}"),
+        passed = (  # in StructureWitness.checks order
+            mc <= n,
+            True if window is None else None,
+            window,
+            amask & ~cover == 0,
+            ch == mc * h,
+            True,
+            sandwich == qmask,
+            qk == target,
+            k <= ch and (2 * n + 1) * ch < (2 * n + 1) * k + n * h,
         )
-        report = CheckReport("structure witness checks", items)
-        if report.ok:
-            return StructureWitness(H, ElemSet(G.order, rep_bits), n, report)
+        if False not in passed:
+            return StructureWitness(H, ElemSet(G.order, rep_bits), n, k, qk, ch,
+                                    sandwich.bit_count(), passed)
     return None
 
 
@@ -503,9 +545,8 @@ def _structure_hypotheses_exist(G: GroupTable, subgroups, amask: int, n: int) ->
     (normalizer-sharing representatives, or the sandwich H A0^-1 A0 H
     collapsing to (2|A0|-1)|H| elements).
     """
-    return any(
-        sharing or _sandwich(G, H, rep_bits).bit_count() == (2 * mc - 1) * H.order
-        for H, mc, rep_bits, sharing in _hypothesis_subgroups(G, amask, n, subgroups))
+    return any(window is not False
+               for *_, window in _hypothesis_subgroups(G, amask, n, subgroups))
 
 
 @dataclass(frozen=True, slots=True)
@@ -605,7 +646,7 @@ def structure_scan(G: GroupTable, max_reps: int, jobs: int = 1,
     is exercised on the same sweep.
     """
     start = time.perf_counter()
-    check_sweep_cap(G, cap, allow_big)
+    check_sweep_cap(G.order, cap, allow_big)
     if max_reps < 1:
         raise ValueError(f"max_reps must be at least 1, got {max_reps}")
     partials = _sweep_partitions(G, jobs, _scan_partition, max_reps)

@@ -152,18 +152,6 @@ def _census_cap() -> int:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
 
 
-def _selected_specs(args) -> list[str]:
-    if args.group is not None:
-        return [args.group]
-    if args.groups_file is not None:
-        with open(args.groups_file, encoding="utf-8") as fh:
-            specs = parse_spec_lines(fh.read())
-        if not specs:
-            raise ValueError(f"no group specs found in {args.groups_file}")
-        return specs
-    return [spec for _, spec in _catalog(args.max_order)]
-
-
 def _catalog(max_order: int) -> list[tuple[int, str]]:
     """The catalog up to ``max_order``, refused past ``build_group``'s cap."""
     if max_order > DEFAULT_ORDER_CAP:
@@ -175,10 +163,23 @@ def _catalog(max_order: int) -> list[tuple[int, str]]:
 def _sweep_groups(args, cap: int, sizes=None) -> list[GroupTable]:
     """Build every selected group and check it against the caps and any
     ``--sizes`` range before any sweep runs, so a group that would fail
-    fails the command up front."""
-    groups = [build_group(spec) for spec in _selected_specs(args)]
+    fails the command up front.  Catalog groups are checked against the
+    caps by their listed orders, before any of them is built."""
+    if args.group is not None:
+        specs = [args.group]
+    elif args.groups_file is not None:
+        with open(args.groups_file, encoding="utf-8") as fh:
+            specs = parse_spec_lines(fh.read())
+        if not specs:
+            raise ValueError(f"no group specs found in {args.groups_file}")
+    else:
+        entries = _catalog(args.max_order)
+        for order, _ in entries:
+            check_sweep_cap(order, cap, args.allow_big)
+        specs = [spec for _, spec in entries]
+    groups = [build_group(spec) for spec in specs]
     for G in groups:
-        check_sweep_cap(G, cap, args.allow_big)
+        check_sweep_cap(G.order, cap, args.allow_big)
         check_sizes(G, sizes)
     return groups
 

@@ -135,11 +135,18 @@ class GroupTable:
 
     Treat instances as read-only; the private fields only cache derived data
     (action tables, subgroup lists, per-subgroup normalizers and left-coset
-    tables) and rebuilding them is always idempotent.
+    tables, and the witness search's per-(subgroup, representatives)
+    products) and rebuilding them is always idempotent.
+
+    ``_rep_products`` maps ``(H.bits, rep_bits)`` to the coset cover A0*H,
+    the sandwich H A0^-1 A0 H and the window-shape clause of the structure
+    witness search; ``census._hypothesis_subgroups`` fills it and documents
+    the entries.
     """
 
     __slots__ = ("order", "mul", "inv", "identity", "element_names", "spec",
-                 "_tables", "_normalizers", "_cosets", "_subgroups")
+                 "_tables", "_normalizers", "_cosets", "_rep_products",
+                 "_subgroups")
 
     def __init__(self, order, mul, inv, element_names, spec):
         self.order = order
@@ -151,6 +158,7 @@ class GroupTable:
         self._tables = None
         self._normalizers = {}
         self._cosets = {}
+        self._rep_products = {}
         self._subgroups = None
 
     @property

@@ -5,6 +5,7 @@ the naive oracles where the group is small enough to brute-force; they guard
 against silent regressions in the sweep, the canonicalization, and the merge.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from quotset.census import (
     DEFAULT_CENSUS_CAP,
     HARD_CENSUS_CAP,
     _canonical_masks,
+    _sandwich,
     _structure_hypotheses_exist,
     canonical_form,
     classification_census,
@@ -24,8 +26,14 @@ from quotset.census import (
 )
 from quotset.classify import _coset_picture, _picture_candidates, classify
 from quotset.groups import build_group, catalog_specs
-from quotset.setops import ElemSet, left_translate_mask, quotient_mask, quotient_set
-from quotset.subgroups import all_subgroups, ensure_subgroup
+from quotset.setops import (
+    ElemSet,
+    left_translate_mask,
+    product_mask,
+    quotient_mask,
+    quotient_set,
+)
+from quotset.subgroups import all_subgroups, ensure_subgroup, normalizer
 
 from oracles import (
     naive_canonical,
@@ -336,14 +344,37 @@ def _unpruned_scan_counts(G, n):
 
 def test_scan_pruning_loses_nothing(make_group):
     # the scan tries only the subgroups that could pass the density bound
-    # for each set size, and skips the hypothesis search after a witness
+    # for each set size, and skips the hypothesis search after a witness;
+    # the recount runs on a freshly built group, so it reads none of the
+    # products the scan memoised
     for spec in catalog_specs(12):
         G = make_group(spec)
         for n in (1, 2, 3):
             s = structure_scan(G, n)
             got = (s.in_range, s.witnesses_found, s.sufficiency_checked,
                    list(s.counterexamples), list(s.sufficiency_failures))
-            assert got == _unpruned_scan_counts(G, n), (spec, n)
+            assert got == _unpruned_scan_counts(build_group(spec), n), (spec, n)
+
+
+def test_memoised_rep_products_match_a_fresh_recomputation():
+    # every (subgroup, representatives) entry a scan leaves on the group
+    # equals the products and window clause recomputed on a fresh group
+    for spec in catalog_specs(12):
+        G = build_group(spec)
+        structure_scan(G, 3)
+        fresh = build_group(spec)
+        assert G._rep_products, spec
+        for (hbits, rep_bits), (cover, sandwich, window) in G._rep_products.items():
+            H = ensure_subgroup(fresh, ElemSet(G.order, hbits))
+            reps = list(ElemSet(G.order, rep_bits))
+            assert cover == product_mask(fresh, rep_bits, hbits)
+            assert sandwich == _sandwich(fresh, H, rep_bits)
+            norm = normalizer(fresh, H)
+            x0inv = fresh.inv[reps[0]]
+            if all(fresh.mul[x0inv][x] in norm for x in reps):
+                assert window is None
+            else:
+                assert window is (sandwich.bit_count() == (2 * len(reps) - 1) * H.order)
 
 
 def test_scan_is_deterministic_across_jobs(c12):
@@ -401,6 +432,25 @@ def test_witness_for_the_fused_set(d4):
 
 def test_no_witness_for_a_spread_set(c7):
     assert find_structure_witness(c7, ElemSet.from_elements(7, [0, 1, 3]), 2) is None
+
+
+def test_witness_reports_match_golden_digest():
+    # sha256 over every canonical set of the catalog up to order 10 at
+    # n = 1, 2, 3: its witness subgroup, representatives and the whole
+    # formatted check report, or None; pinned before the report was built
+    # lazily from the clause values
+    h = hashlib.sha256()
+    for spec in catalog_specs(10):
+        G = build_group(spec)
+        for n in (1, 2, 3):
+            for A in iter_canonical_sets(G):
+                w = find_structure_witness(G, A, n)
+                record = [spec, n, list(A)]
+                record += ([None] if w is None else
+                           [list(w.subgroup), list(w.reps), w.checks.to_dict()])
+                h.update(json.dumps(record).encode("utf-8") + b"\n")
+    assert h.hexdigest() == (
+        "5b28acfd1a1278ac835e11a92549ce91899a37fd8b6bd6df38fa5a8c3255ab21")
 
 
 def test_witness_scan_agreement(s3):

@@ -192,6 +192,27 @@ def test_multi_group_sweep_checks_caps_before_sweeping(capsys, monkeypatch, verb
     assert f"{verb[0]} " not in err  # no per-group progress line
 
 
+@pytest.mark.parametrize("verb", [["census"], ["conjecture-scan", "--n", "1"]])
+@pytest.mark.parametrize("extra, message", [
+    (["--max-order", "120"], "order 25 exceeds the sweep cap 24"),
+    (["--i-know-this-is-big", "--max-order", "40"],
+     "order 33 exceeds the hard sweep cap 32"),
+])
+def test_catalog_sweep_checks_orders_before_building_groups(
+        capsys, monkeypatch, verb, extra, message):
+    # the catalog lists every order, so an order above the caps stops the
+    # command before any Cayley table is built
+    def build_group(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    monkeypatch.setattr(cli, "build_group", build_group)
+    code, out, err = run(capsys, [verb[0], *extra, *verb[1:]])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_sizes_range_is_checked_for_every_group_before_sweeping(capsys, tmp_path):
     # 1..10 fits cyclic 12 but not the later cyclic 4, so nothing may run
     listing = tmp_path / "groups.txt"
@@ -409,5 +430,25 @@ def test_output_file_in_a_missing_directory(capsys, tmp_path):
 ])
 def test_sweep_reports_match_golden_digests(capsys, argv, digest):
     code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of the order-18 reports at one and two jobs, pinned like the ones
+# above; the whole set takes about 15 s
+@pytest.mark.extended
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv, digest", [
+    (["census", "--max-order", "18"],
+     "ccaa99adca33685258e8df3f9a54693d302cfda302cdad179d0c88ec747a0483"),
+    (["conjecture-scan", "--max-order", "18", "--n", "1"],
+     "a180f1db7190eca8ca0a2edf15dfd2b4cd4ca7615eb907c80bdc149d06f9d89d"),
+    (["conjecture-scan", "--max-order", "18", "--n", "2"],
+     "329c4772ed1fb7ebe97511f5eb9c96be27a3fb56cd6f874cd9309d1e898be205"),
+    (["conjecture-scan", "--max-order", "18", "--n", "3"],
+     "4fd46e1122d8310fe7f036790b5a6508fcd0c3a93f360752ecca4a3f94b0afea"),
+])
+def test_order_18_reports_match_golden_digests(capsys, argv, digest, jobs):
+    code, out, _ = run(capsys, argv + ["--format", "json", "--jobs", jobs])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
