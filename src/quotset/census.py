@@ -21,8 +21,10 @@ test and the quotient set in the same pass: every translate inv(a)*A for a
 in A either beats A (not canonical), equals it (a stabilizes A), or joins
 the quotient set.  It reads the group's row tables
 (``GroupTable.action_tables``): a mask is three chunks of w = ceil(order/3)
-bits, the rows give inv(a)*X for every chunk value X and every a at once,
-and a translate costs three lookups and two ORs.
+bits, and the rows give inv(a)*X for every chunk value X and every a at
+once.  The kernel walks the masks in blocks that share their two high
+chunks, merges those chunks' rows once per block, and so pays two lookups
+and one OR per translate.
 
 Multi-process sweeps partition the subsets by their membership pattern on
 the lowest non-identity ids and merge the partial reports in a fixed order,
@@ -34,6 +36,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
+from operator import or_
 
 from .classify import (
     ClassKind,
@@ -69,7 +72,7 @@ __all__ = [
 DEFAULT_CENSUS_CAP = 24
 
 #: No override reaches past this.  By extrapolation (no order-32 census has
-#: run), its 2^31 masks take about 30 minutes at jobs 2 at the ~1.2 M masks/s
+#: run), its 2^31 masks take about 17 minutes at jobs 2 at the ~2.1 M masks/s
 #: that the order-24 census-deep benchmark measures.
 HARD_CENSUS_CAP = 32
 
@@ -234,23 +237,32 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
         f = fixed >> c * w & size - 1
         return [v for v in range(size) if v & f == base >> c * w & f]
 
+    # A (c2, c1) block holds the masks m1 | c0 for every chunk-0 value c0;
+    # block0[s] lists the c0 that put a block whose high chunks hold s
+    # elements in the size range (every c0 for a full-range sweep).
     vals0 = values(0)
+    block0 = [[c0 for c0 in vals0 if lo <= s + c0.bit_count() <= hi]
+              for s in range(2 * w + 1)]
     count = 0
     for c2 in values(2):
         r2, e2, m2 = rows2[c2], elems2[c2], c2 << 2 * w
         for c1 in values(1):
-            r1, e12, m1 = rows1[c1], elems1[c1] + e2, m2 | c1 << w
-            for c0 in vals0:
+            m1 = m2 | c1 << w
+            cs = block0[m1.bit_count()]
+            if not cs:
+                continue
+            count += len(cs)
+            # one merged row per block: a translate is r0[a] | r12[a]
+            r12, e12 = list(map(or_, rows1[c1], r2)), elems1[c1] + e2
+            for c0 in cs:
                 m = m1 | c0
-                k = m.bit_count()
-                if k < lo or k > hi:
-                    continue
-                count += 1
                 r0 = rows0[c0]
                 qmask = m
                 stab = 1
-                for a in elems0[c0] + e12:
-                    t = r0[a] | r1[a] | r2[a]
+                # chunk 0's elements first, with no joined list: about half
+                # of all masks fail on the first of them
+                for a in elems0[c0]:
+                    t = r0[a] | r12[a]
                     if t < m:
                         break
                     if t == m:
@@ -258,7 +270,16 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
                     else:
                         qmask |= t
                 else:
-                    yield m, k, qmask, stab
+                    for a in e12:
+                        t = r0[a] | r12[a]
+                        if t < m:
+                            break
+                        if t == m:
+                            stab += 1
+                        else:
+                            qmask |= t
+                    else:
+                        yield m, m.bit_count(), qmask, stab
     visited[0] += count
 
 
@@ -305,7 +326,7 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
                 if bad:
                     violations.append((m, "sufficiency",
                                        "; ".join(item.name for item in bad)))
-        else:
+        elif any(cands[k]):
             # The set is not small, so no subgroup may satisfy either
             # picture's hypotheses.
             picture = _coset_picture(G, m, *cands[k])
@@ -425,10 +446,11 @@ class StructureWitness:
         ))
 
 
-def _hypothesis_subgroups(G: GroupTable, amask: int, n: int, subgroups):
+def _hypothesis_subgroups(G: GroupTable, amask: int, n: int, cands):
     """Yield ``(H, mc, rep_bits, cover, sandwich, window)`` for each subgroup
     H, in order, that A meets in mc <= n left cosets with
-    (2n+1)|A| > (n+1)(2mc-1)|H|.
+    (2n+1)|A| > (n+1)(2mc-1)|H|.  ``cands`` holds ``(H, left_cosets(G, H))``
+    pairs.
 
     ``rep_bits`` marks A0, the smallest element of A in each met coset.  The
     rest depends only on H and A0, so it is computed once per pair and kept
@@ -441,8 +463,7 @@ def _hypothesis_subgroups(G: GroupTable, amask: int, n: int, subgroups):
     """
     k = amask.bit_count()
     memo = G._rep_products
-    for H in subgroups:
-        cosets = left_cosets(G, H)
+    for H, cosets in cands:
         reps = []
         rep_bits = 0
         remaining = amask
@@ -473,8 +494,8 @@ def _sandwich(G: GroupTable, H: Subgroup, rep_bits: int) -> int:
 
 
 def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
-                           subgroups=None, *,
-                           _qmask: int | None = None) -> StructureWitness | None:
+                           subgroups=None, *, _qmask: int | None = None,
+                           _candidates=None) -> StructureWitness | None:
     """Search for a subgroup witnessing the bounded-representative structure.
 
     A witness subgroup H admits at most ``max_reps`` met left cosets and
@@ -498,8 +519,9 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
     (H, A0); the first subgroup with no failed clause is the witness, and
     its report is formatted only when ``checks`` is read.
 
-    ``_qmask`` is for the sweeps, which already hold the quotient set of A;
-    it is trusted as given.
+    ``_qmask`` and ``_candidates`` are for the scan, which already holds the
+    quotient set of A and the ``(H, left_cosets(G, H))`` pairs to try in
+    place of ``subgroups``; both are trusted as given.
     """
     if A.n != G.order:
         raise ValueError(f"set is over order {A.n}, group has order {G.order}")
@@ -509,14 +531,15 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
     n = max_reps
     if n < 1:
         raise ValueError(f"max_reps must be at least 1, got {n}")
-    if subgroups is None:
-        subgroups = all_subgroups(G)
+    if _candidates is None:
+        _candidates = ((H, left_cosets(G, H)) for H in
+                       (all_subgroups(G) if subgroups is None else subgroups))
     k = amask.bit_count()
     qmask = quotient_mask(G, amask) if _qmask is None else _qmask
     qk = qmask.bit_count()
 
     for H, mc, rep_bits, cover, sandwich, window in _hypothesis_subgroups(
-            G, amask, n, subgroups):
+            G, amask, n, _candidates):
         h = H.order
         ch = cover.bit_count()
         target = (2 * mc - 1) * h
@@ -537,8 +560,9 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
     return None
 
 
-def _structure_hypotheses_exist(G: GroupTable, subgroups, amask: int, n: int) -> bool:
-    """Whether any subgroup satisfies the witness hypotheses for this set.
+def _structure_hypotheses_exist(G: GroupTable, cands, amask: int, n: int) -> bool:
+    """Whether any of the ``(H, left cosets)`` pairs satisfies the witness
+    hypotheses for this set.
 
     Hypotheses means the forward-direction inputs only: at most n met
     cosets, the density bound, and one of the two structural shapes
@@ -546,7 +570,7 @@ def _structure_hypotheses_exist(G: GroupTable, subgroups, amask: int, n: int) ->
     collapsing to (2|A0|-1)|H| elements).
     """
     return any(window is not False
-               for *_, window in _hypothesis_subgroups(G, amask, n, subgroups))
+               for *_, window in _hypothesis_subgroups(G, amask, n, cands))
 
 
 @dataclass(frozen=True, slots=True)
@@ -594,7 +618,7 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
     # since k <= c|H|.)  The other subgroups fail for every set of size k
     # and are dropped up front; the subgroup order is kept, so the first
     # witness found does not change.
-    cands = [[H for H in subgroups
+    cands = [[(H, left_cosets(G, H)) for H in subgroups
               if (n + 1) * (2 * -(-k // H.order) - 1) * H.order < (2 * n + 1) * k]
              for k in range(order + 1)]
 
@@ -614,8 +638,8 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
         in_range = (n + 1) * qk < (2 * n + 1) * k
         if in_range:
             in_range_count += 1
-            if find_structure_witness(G, ElemSet(order, m), n, cands[k],
-                                      _qmask=qmask) is not None:
+            if find_structure_witness(G, ElemSet(order, m), n, _qmask=qmask,
+                                      _candidates=cands[k]) is not None:
                 # A witness passed mc <= n, the density bound and one of the
                 # two shapes, which are exactly the hypotheses; and in range
                 # implies |Q| < 2|A|.  So the set counts as checked, and the

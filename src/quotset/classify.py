@@ -108,9 +108,11 @@ def _window_masks(G: GroupTable, hbits: int, d: int) -> tuple[int, int]:
 def _picture_candidates(G: GroupTable, subgroups, k: int):
     """The subgroups, in ``subgroups`` order, that could hold a set of size k
     in one left coset (k <= |H| and 5k > 3|H|), and those that could hold it
-    in two (k <= 2|H| and 5k > 9|H|), the latter with their left cosets."""
-    return ([H for H in subgroups if k <= H.order and 5 * k > 3 * H.order],
-            [(H, left_cosets(G, H)) for H in subgroups
+    in two (k <= 2|H| and 5k > 9|H|): ``(H, H.bits)`` pairs and
+    ``(H, H.bits, left cosets)`` triples."""
+    return ([(H, H.bits) for H in subgroups
+             if k <= H.order and 5 * k > 3 * H.order],
+            [(H, H.bits, left_cosets(G, H)) for H in subgroups
              if k <= 2 * H.order and 5 * k > 9 * H.order])
 
 
@@ -127,10 +129,10 @@ def _coset_picture(G: GroupTable, amask: int, single, double):
     a = (amask & -amask).bit_length() - 1
     # every swept set holds the identity, and translating by it is a no-op
     t0 = left_translate_mask(G, G.inv[a], amask) if a else amask
-    for H in single:
-        if t0 & ~H.bits == 0:
+    for H, hbits in single:
+        if t0 & ~hbits == 0:
             return H, a, None
-    for H, cosets in double:
+    for H, hbits, cosets in double:
         rest = amask & ~cosets[a]
         if not rest:
             continue
@@ -138,8 +140,8 @@ def _coset_picture(G: GroupTable, amask: int, single, double):
         if rest & ~cosets[b]:
             continue
         d = G.mul[G.inv[a]][b]
-        window = (product_mask(G, H.bits, cosets[d])
-                  | product_mask(G, H.bits, cosets[G.inv[d]]))
+        window = (product_mask(G, hbits, cosets[d])
+                  | product_mask(G, hbits, cosets[G.inv[d]]))
         if window.bit_count() == 2 * H.order:
             return H, a, b
     return None

@@ -77,7 +77,10 @@ class _ActionTables(NamedTuple):
     the mask inv(a)*X, ``right[c][v][g]`` is X*g, ``invert[c][v]`` holds the
     inverses of X, and ``elems[c][v]`` lists X without the identity,
     ascending; chunks past the order hold only the value 0.  A translate is
-    three lookups and two ORs, and all translates of one set share its rows.
+    three lookups and two ORs, and all translates of one set share its rows;
+    the sweep kernel also shares the OR of the two high chunks' rows across
+    every mask that has those chunks, so its translates take two lookups and
+    one OR.
 
     Three chunks keep ``rows`` at 3 * 2^w rows of ``order`` masks, about
     200,000 masks at the hard sweep cap (order 32, w = 11); two chunks would

@@ -33,7 +33,7 @@ from quotset.setops import (
     quotient_mask,
     quotient_set,
 )
-from quotset.subgroups import all_subgroups, ensure_subgroup, normalizer
+from quotset.subgroups import all_subgroups, ensure_subgroup, left_cosets, normalizer
 
 from oracles import (
     naive_canonical,
@@ -101,10 +101,13 @@ def test_iter_canonical_sets_respects_size_filter(d4):
 # === the sweep kernel ===
 
 
-@pytest.mark.parametrize("spec", catalog_specs(12) + ["cyclic 13", "dihedral 8"])
+@pytest.mark.parametrize("spec", catalog_specs(12) + ["cyclic 13", "cyclic 15",
+                                                     "dihedral 8"])
 def test_sweep_kernel_matches_canonical_form(make_group, spec):
     # every partition width the sweeps use up to 8 partitions; orders 1-4
-    # leave some of the kernel's three chunks empty
+    # leave some of the kernel's three chunks empty.  At orders 15 and 16
+    # (chunks of 5 and 6 bits) the middle size range holds blocks whose
+    # chunk-0 values all fit it and blocks that straddle one of its ends.
     G = make_group(spec)
     n = G.order
     expected = {}
@@ -133,6 +136,42 @@ def test_sweep_kernel_matches_canonical_form(make_group, spec):
                            if sizes[0] <= row[0] <= sizes[1]}
     assert [m for m, *_ in _canonical_masks(G, lo, hi, 0, 0, [0])] == sorted(
         m for m, row in expected.items() if lo <= row[0] <= hi)
+
+
+def _burnside_orbit_counts(G):
+    # k-subsets per left-translation orbit, by Burnside: x -> g*x has
+    # |G|/ord(g) cycles of length ord(g), so g fixes C(|G|/ord g, k/ord g)
+    # k-subsets when ord(g) divides k.  Orders come from G.mul alone.
+    n = G.order
+    e = next(x for x in range(n) if all(G.mul[x][y] == y for y in range(n)))
+    orders = []
+    for g in range(n):
+        x, o = g, 1
+        while x != e:
+            x, o = G.mul[x][g], o + 1
+        orders.append(o)
+    counts = {}
+    for k in range(1, n + 1):
+        fixed = sum(math.comb(n // o, k // o) for o in orders if k % o == 0)
+        assert fixed % n == 0
+        counts[k] = fixed // n
+    return counts
+
+
+@pytest.mark.parametrize("spec", catalog_specs(16))
+def test_canonical_classes_match_burnside(make_group, spec):
+    # every translation orbit has one canonical set, so the kernel yields
+    # as many masks of each size as Burnside counts orbits, and the census
+    # reports their sum
+    G = make_group(spec)
+    expected = _burnside_orbit_counts(G)
+    for width in sorted({0, min(2, G.order - 1)}):
+        got = dict.fromkeys(expected, 0)
+        for pattern in range(1 << width):
+            for _, k, _, _ in _canonical_masks(G, 1, G.order, width, pattern, [0]):
+                got[k] += 1
+        assert got == expected, width
+    assert classification_census(G).canonical_classes == sum(expected.values())
 
 
 def _naive_picture(G, amask, subgroups):
@@ -324,6 +363,7 @@ def _unpruned_scan_counts(G, n):
     """The scan's counts recounted set by set, every subgroup tried and both
     searches run on every set they apply to."""
     subgroups = all_subgroups(G)
+    cands = [(H, left_cosets(G, H)) for H in subgroups]
     in_range = witnesses = checked = 0
     counterexamples, failures = [], []
     for A in iter_canonical_sets(G):
@@ -335,7 +375,7 @@ def _unpruned_scan_counts(G, n):
                 witnesses += 1
             else:
                 counterexamples.append(A)
-        if 2 * k > qk and _structure_hypotheses_exist(G, subgroups, A.bits, n):
+        if 2 * k > qk and _structure_hypotheses_exist(G, cands, A.bits, n):
             checked += 1
             if not hit:
                 failures.append(A)
