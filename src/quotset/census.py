@@ -11,10 +11,11 @@ of the group.
 set with a small quotient set and, for the remaining sets, confirms that
 neither coset picture's hypotheses hold for any subgroup; each finding is
 reported as a violation rather than asserted, so a sweep can surface a
-counterexample instead of crashing.  ``structure_scan`` does the same for
-the bounded-representative structure conjecture: every canonical set whose
-quotient set is within the range for ``max_reps`` representatives must
-admit a witness subgroup.
+counterexample instead of crashing.  A small set costs one picture search
+and one run of the clause evaluator that ``verify_structure`` formats.
+``structure_scan`` does the same for the bounded-representative structure
+conjecture: every canonical set whose quotient set is within the range for
+``max_reps`` representatives must admit a witness subgroup.
 
 Both sweeps read one kernel, ``_canonical_masks``, which runs the canonical
 test and the quotient set in the same pass: every translate inv(a)*A for a
@@ -39,12 +40,12 @@ from dataclasses import dataclass
 from operator import or_
 
 from .classify import (
-    ClassKind,
+    _SINGLE_CLAUSES,
+    _TWO_COSET_CLAUSES,
     _coset_picture,
     _picture_candidates,
+    _structure_clauses,
     check_sufficiency,
-    classify,
-    verify_structure,
 )
 from .groups import GroupTable, build_group
 from .reports import CheckItem, CheckReport
@@ -72,7 +73,7 @@ __all__ = [
 DEFAULT_CENSUS_CAP = 24
 
 #: No override reaches past this.  By extrapolation (no order-32 census has
-#: run), its 2^31 masks take about 17 minutes at jobs 2 at the ~2.1 M masks/s
+#: run), its 2^31 masks take about 15 minutes at jobs 2 at the ~2.45 M masks/s
 #: that the order-24 census-deep benchmark measures.
 HARD_CENSUS_CAP = 32
 
@@ -286,8 +287,9 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
 def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
     """Sweep the subsets whose low non-identity bits equal ``pattern``."""
     order = G.order
-    # For most sizes these lists are empty or nearly so.
-    cands = {k: _picture_candidates(G, subgroups, k) for k in range(lo, hi + 1)}
+    # picture candidates, for the sizes that have any
+    cands = {k: c for k in range(lo, hi + 1)
+             if any(c := _picture_candidates(G, subgroups, k))}
 
     scanned = [0]
     classes = 0
@@ -299,37 +301,17 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
         classes += 1
         qk = qmask.bit_count()
 
-        orbit = order // stab
         row = best.get(k)
         if row is None:
-            best[k] = [qk, m, orbit]
-        else:
-            if (qk, m) < (row[0], row[1]):
-                row[0], row[1] = qk, m
-            row[2] += orbit
+            row = best[k] = [qk, m, 0]
+        elif (qk, m) < (row[0], row[1]):
+            row[0], row[1] = qk, m
+        row[2] += order // stab
 
-        if 3 * qk < 5 * k:
-            A = ElemSet(order, m)
-            result = classify(G, A, _qmask=qmask, _candidates=cands[k])
-            if result.kind is ClassKind.VIOLATION:
-                violations.append((m, "necessity",
-                                   f"3|Q| = {3 * qk} is below 5|A| = {5 * k} "
-                                   "but neither coset picture applies"))
-                continue
-            bad = verify_structure(G, A, result).failures()
-            if bad:
-                violations.append((m, "structure",
-                                   "; ".join(item.name for item in bad)))
-            if result.kind is ClassKind.TWO_COSETS:
-                bad = check_sufficiency(G, result.subgroup, result.rep_a,
-                                        result.rep_b, A).failures()
-                if bad:
-                    violations.append((m, "sufficiency",
-                                       "; ".join(item.name for item in bad)))
-        elif any(cands[k]):
+        picture = _coset_picture(G, m, *cands[k]) if k in cands else None
+        if 3 * qk >= 5 * k:
             # The set is not small, so no subgroup may satisfy either
             # picture's hypotheses.
-            picture = _coset_picture(G, m, *cands[k])
             if picture is not None:
                 H, _, b = picture
                 violations.append((m, "sufficiency",
@@ -337,6 +319,23 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
                                    f"hypotheses hold for a subgroup of order "
                                    f"{H.order} but 3|Q| = {3 * qk} is not "
                                    f"below 5|A| = {5 * k}"))
+            continue
+        if picture is None:
+            violations.append((m, "necessity",
+                               f"3|Q| = {3 * qk} is below 5|A| = {5 * k} "
+                               "but neither coset picture applies"))
+            continue
+        H, a, b = picture
+        clauses, _ = _structure_clauses(G, m, qmask, H, a, b)
+        if False in clauses:
+            names = _SINGLE_CLAUSES if b is None else _TWO_COSET_CLAUSES
+            violations.append((m, "structure", "; ".join(
+                name for name, ok in zip(names, clauses) if ok is False)))
+        if b is not None:
+            bad = check_sufficiency(G, H, a, b, ElemSet(order, m)).failures()
+            if bad:
+                violations.append((m, "sufficiency",
+                                   "; ".join(item.name for item in bad)))
 
     return {"scanned": scanned[0], "classes": classes,
             "violations": violations, "best": best}
@@ -350,7 +349,9 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
     Returns a report whose ``violations`` field is empty exactly when every
     small-quotient set fit one of the two coset pictures, every claimed
     decomposition checked out, and no not-small set satisfied either
-    picture's hypotheses.
+    picture's hypotheses.  A small set gets ``classify``'s picture search
+    and the clause evaluator of ``verify_structure``, which recomputes its
+    quotient set.
     """
     start = time.perf_counter()
     check_sweep_cap(G.order, cap, allow_big)

@@ -21,10 +21,11 @@ cosets H | rH of H = {e, s}, and no representative choice normalizes H —
 yet HrH = H inv(r) H has size 2|H| and the classification holds.  Demanding
 the normalizer shape alone would leave such sets unclassified.
 
-``classify`` finds the picture, ``verify_structure`` recomputes its claimed
-quotient decomposition from scratch, ``check_sufficiency`` drives the
-converse direction from coset data alone, ``construct_threshold_example``
-builds the standard set showing the 5/3 ratio cannot be improved, and
+``classify`` finds the picture; ``verify_structure`` formats the clauses
+of ``_structure_clauses`` (which the census runs alone), recomputing the
+claimed quotient decomposition from scratch; ``check_sufficiency`` drives
+the converse direction from coset data alone; ``construct_threshold_example``
+builds the standard set showing the 5/3 ratio cannot be improved; and
 ``stability_diagnostics`` examines the heavily-represented part of the
 quotient set and the subgroup it spans.
 """
@@ -148,8 +149,7 @@ def _coset_picture(G: GroupTable, amask: int, single, double):
 
 
 def classify(G: GroupTable, A: ElemSet,
-             subgroups: tuple[Subgroup, ...] | None = None, *,
-             _qmask: int | None = None, _candidates=None) -> Classification:
+             subgroups: tuple[Subgroup, ...] | None = None) -> Classification:
     """Classify a nonempty set by the structure forced by its quotient set.
 
     When 3|Q| < 5|A| this finds the smallest subgroup realizing the
@@ -158,27 +158,21 @@ def classify(G: GroupTable, A: ElemSet,
     bound held but no picture was found, which the classification dichotomy
     rules out; it is reported rather than asserted so census runs can
     surface it as a finding.
-
-    ``_qmask`` and ``_candidates`` are for the census, which already holds
-    the quotient set of A and ``_picture_candidates`` for A's size; both are
-    trusted as given, and ``verify_structure`` recomputes the quotient set.
     """
     if A.n != G.order:
         raise ValueError(f"set is over order {A.n}, group has order {G.order}")
     amask = A.bits
     if not amask:
         raise ValueError("cannot classify the empty set")
-    qmask = quotient_mask(G, amask) if _qmask is None else _qmask
+    qmask = quotient_mask(G, amask)
     k = amask.bit_count()
     qk = qmask.bit_count()
     quotient = ElemSet(G.order, qmask)
     if 3 * qk >= 5 * k:
         return Classification(ClassKind.NOT_SMALL, quotient, k, qk)
 
-    if _candidates is None:
-        _candidates = _picture_candidates(
-            G, all_subgroups(G) if subgroups is None else subgroups, k)
-    picture = _coset_picture(G, amask, *_candidates)
+    picture = _coset_picture(G, amask, *_picture_candidates(
+        G, all_subgroups(G) if subgroups is None else subgroups, k))
     if picture is None:
         return Classification(ClassKind.VIOLATION, quotient, k, qk)
     H, a, b = picture
@@ -190,6 +184,49 @@ def classify(G: GroupTable, A: ElemSet,
                           fused=G.mul[G.inv[a]][b] not in normalizer(G, H))
 
 
+#: The clauses ``_structure_clauses`` returns, in ``verify_structure`` order.
+_SINGLE_CLAUSES = ("ratio_bound", "quotient_equals_subgroup")
+_TWO_COSET_CLAUSES = ("ratio_bound", "window_size", "window_misses_subgroup",
+                      "union_is_quotient", "normalizer_route", "fused_route")
+
+
+def _structure_clauses(G: GroupTable, amask: int, qmask: int, H: Subgroup,
+                       a: int, b: int | None):
+    """``(clauses, |HdH | H inv(d) H|)`` for A in aH (b None, no window) or
+    in aH | bH: clause values in ``_SINGLE_CLAUSES`` or ``_TWO_COSET_CLAUSES``
+    order, None for the route that does not apply.  Raises ``ValueError`` if
+    the quotient set of A, recomputed here, is not ``qmask``, or if A is not
+    inside the claimed cosets or misses one of two.
+    """
+    if quotient_mask(G, amask) != qmask:
+        raise ValueError("classification quotient does not match the given set")
+    hbits, h = H.bits, H.order
+    k5 = 5 * amask.bit_count()
+    coset_a = left_translate_mask(G, a, hbits)
+    if b is None:
+        if amask & ~coset_a:
+            raise ValueError("set is not inside the claimed coset")
+        return (k5 > 3 * h, qmask == hbits), None
+
+    coset_b = left_translate_mask(G, b, hbits)
+    if amask & ~(coset_a | coset_b):
+        raise ValueError("set is not inside the claimed pair of cosets")
+    if not (amask & coset_a) or not (amask & coset_b):
+        raise ValueError("set does not meet both claimed cosets")
+    d = G.mul[G.inv[a]][b]
+    d1, d2 = _window_masks(G, hbits, d)
+    window = d1 | d2
+    split = fused = None
+    if d in normalizer(G, H):
+        split = (d1 == left_translate_mask(G, d, hbits)
+                 and d2 == left_translate_mask(G, G.inv[d], hbits)
+                 and not (d1 & d2) and G.mul[d][d] not in H)
+    else:
+        fused = d1 == d2 and d1.bit_count() == 2 * h
+    return (k5 > 9 * h, window.bit_count() == 2 * h, not (hbits & window),
+            (hbits | window) == qmask, split, fused), window.bit_count()
+
+
 def verify_structure(G: GroupTable, A: ElemSet, result: Classification) -> CheckReport:
     """Recompute the quotient decomposition a classification claims.
 
@@ -198,69 +235,35 @@ def verify_structure(G: GroupTable, A: ElemSet, result: Classification) -> Check
     and unions with H to exactly Q (hence |Q| = 3|H|), plus one shape item
     per route: the normalizer route (window splits as dH | inv(d)H) and the
     fused route (window is the single double coset HdH = H inv(d) H), with
-    the inapplicable route reported as a skip.  Raises ``ValueError`` for
-    results of any other kind or with witness data inconsistent with A.
+    the inapplicable route reported as a skip, as ``_structure_clauses``
+    evaluates them.  Raises ``ValueError`` for results of any other kind or
+    with witness data inconsistent with A.
     """
     if result.kind not in (ClassKind.SINGLE_COSET, ClassKind.TWO_COSETS):
         raise ValueError(f"no structure to verify for a {result.kind.value} result")
-    H = result.subgroup
-    amask = A.bits
-    qmask = quotient_mask(G, amask)
-    if ElemSet(G.order, qmask) != result.quotient:
-        raise ValueError("classification quotient does not match the given set")
-    items = []
-
-    if result.kind is ClassKind.SINGLE_COSET:
-        coset = left_translate_mask(G, result.rep_a, H.bits)
-        if amask & ~coset:
-            raise ValueError("set is not inside the claimed coset")
-        items.append(CheckItem("ratio_bound", 5 * amask.bit_count() > 3 * H.order,
-                               f"5|A| = {5 * amask.bit_count()}, 3|H| = {3 * H.order}"))
-        items.append(CheckItem("quotient_equals_subgroup", qmask == H.bits,
-                               "" if qmask == H.bits else "quotient differs from H"))
-        return CheckReport("single-coset structure", tuple(items))
-
-    a, b = result.rep_a, result.rep_b
-    coset_a = left_translate_mask(G, a, H.bits)
-    coset_b = left_translate_mask(G, b, H.bits)
-    if amask & ~(coset_a | coset_b):
-        raise ValueError("set is not inside the claimed pair of cosets")
-    if not (amask & coset_a) or not (amask & coset_b):
-        raise ValueError("set does not meet both claimed cosets")
-    d = G.mul[G.inv[a]][b]
-    d1, d2 = _window_masks(G, H.bits, d)
-    window = d1 | d2
-    h = H.order
-
-    items.append(CheckItem("ratio_bound", 5 * amask.bit_count() > 9 * h,
-                           f"5|A| = {5 * amask.bit_count()}, 9|H| = {9 * h}"))
-    items.append(CheckItem("window_size", window.bit_count() == 2 * h,
-                           f"|HdH | Hd^-1H| = {window.bit_count()}, 2|H| = {2 * h}"))
-    disjoint = not (H.bits & window)
-    items.append(CheckItem("window_misses_subgroup", disjoint,
-                           "" if disjoint else "the window overlaps H"))
-    union_ok = (H.bits | window) == qmask
-    items.append(CheckItem("union_is_quotient", union_ok,
-                           "" if union_ok else "H | HdH | Hd^-1H differs from Q"))
-
-    if d in normalizer(G, H):
-        da = left_translate_mask(G, d, H.bits)
-        db = left_translate_mask(G, G.inv[d], H.bits)
-        split_ok = (d1 == da and d2 == db and not (da & db)
-                    and G.mul[d][d] not in H)
-        items.append(CheckItem("normalizer_route", split_ok,
-                               "window splits as the disjoint pair dH | d^-1H"
-                               if split_ok else "normalizing d fails to split the window"))
-        items.append(CheckItem("fused_route", None,
-                               "skipped: the representative normalizes the subgroup"))
-    else:
-        fused_ok = d1 == d2 and d1.bit_count() == 2 * h
-        items.append(CheckItem("normalizer_route", None,
-                               "skipped: the representative does not normalize the subgroup"))
-        items.append(CheckItem("fused_route", fused_ok,
-                               "window is the single double coset HdH = Hd^-1H of size 2|H|"
-                               if fused_ok else "non-normalizing d fails to fuse the window"))
-    return CheckReport("two-cosets structure", tuple(items))
+    two = result.kind is ClassKind.TWO_COSETS
+    clauses, wsize = _structure_clauses(G, A.bits, result.quotient.bits,
+                                        result.subgroup, result.rep_a,
+                                        result.rep_b if two else None)
+    k5, h = 5 * A.size, result.subgroup.order
+    if not two:
+        return CheckReport("single-coset structure", tuple(map(
+            CheckItem, _SINGLE_CLAUSES, clauses,
+            (f"5|A| = {k5}, 3|H| = {3 * h}",
+             "" if clauses[1] else "quotient differs from H"))))
+    _, _, disjoint, union, split, fused = clauses
+    return CheckReport("two-cosets structure", tuple(map(
+        CheckItem, _TWO_COSET_CLAUSES, clauses,
+        (f"5|A| = {k5}, 9|H| = {9 * h}",
+         f"|HdH | Hd^-1H| = {wsize}, 2|H| = {2 * h}",
+         "" if disjoint else "the window overlaps H",
+         "" if union else "H | HdH | Hd^-1H differs from Q",
+         {None: "skipped: the representative does not normalize the subgroup",
+          True: "window splits as the disjoint pair dH | d^-1H",
+          False: "normalizing d fails to split the window"}[split],
+         {None: "skipped: the representative normalizes the subgroup",
+          True: "window is the single double coset HdH = Hd^-1H of size 2|H|",
+          False: "non-normalizing d fails to fuse the window"}[fused]))))
 
 
 def check_sufficiency(G: GroupTable, H: Subgroup, a: int, b: int,
@@ -292,11 +295,8 @@ def check_sufficiency(G: GroupTable, H: Subgroup, a: int, b: int,
     if not (amask & coset_a) or not (amask & coset_b):
         raise ValueError("set does not meet both cosets aH and bH")
 
-    k = amask.bit_count()
-    h = H.order
+    k, h = amask.bit_count(), H.order
     d = G.mul[G.inv[a]][b]
-    d_norm = d in normalizer(G, H)
-    d_sq_in = G.mul[d][d] in H
     d1, d2 = _window_masks(G, H.bits, d)
     wsize = (d1 | d2).bit_count()
     qmask = quotient_mask(G, amask)
@@ -304,8 +304,7 @@ def check_sufficiency(G: GroupTable, H: Subgroup, a: int, b: int,
     items = []
 
     if wsize == 2 * h and 5 * k > 9 * h:
-        small = 3 * qk < 5 * k
-        items.append(CheckItem("direct_smallness", small,
+        items.append(CheckItem("direct_smallness", 3 * qk < 5 * k,
                                f"3|Q| = {3 * qk}, 5|A| = {5 * k}"))
         x = left_translate_mask(G, G.inv[a], amask & coset_a)
         y = left_translate_mask(G, G.inv[b], amask & coset_b)
@@ -326,7 +325,7 @@ def check_sufficiency(G: GroupTable, H: Subgroup, a: int, b: int,
         items.append(CheckItem(
             "forced_window", wsize <= 2 * h,
             f"|HdH | Hd^-1H| = {wsize}, 2|H| = {2 * h}, d = {G.name_of(d)}"))
-        if d_norm and d_sq_in:
+        if d in normalizer(G, H) and G.mul[d][d] in H:
             doubled = H.bits | left_translate_mask(G, d, H.bits)
             ok = (is_subgroup_mask(G, doubled)
                   and amask & ~left_translate_mask(G, a, doubled) == 0

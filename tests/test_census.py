@@ -6,6 +6,7 @@ against silent regressions in the sweep, the canonicalization, and the merge.
 """
 
 import hashlib
+import importlib
 import json
 import math
 import random
@@ -24,7 +25,7 @@ from quotset.census import (
     iter_canonical_sets,
     structure_scan,
 )
-from quotset.classify import _coset_picture, _picture_candidates, classify
+from quotset.classify import ClassKind, _coset_picture, _picture_candidates, classify
 from quotset.groups import build_group, catalog_specs
 from quotset.setops import (
     ElemSet,
@@ -42,6 +43,11 @@ from oracles import (
     naive_quotient,
     random_subset,
 )
+
+# the package exports a function named classify, so reach the modules
+# themselves for patching
+census = importlib.import_module("quotset.census")
+classify_module = importlib.import_module("quotset.classify")
 
 
 # === canonical forms ===
@@ -201,19 +207,19 @@ def _naive_picture(G, amask, subgroups):
 
 
 def test_classify_candidates_pick_the_same_picture(make_group):
-    # the census passes classify, and its screen of the sets that are not
-    # small, only the subgroups that could realize each picture for the
-    # set's size; the first hit must not change
+    # the census searches for a picture among only the subgroups that could
+    # realize it for the set's size; the first hit must not change, and on
+    # a small set it must be the subgroup and representatives that
+    # classify reports
     for spec in catalog_specs(12):
         G = make_group(spec)
         subgroups = all_subgroups(G)
         for m, k, qmask, _ in _canonical_masks(G, 1, G.order, 0, 0, [0]):
-            cands = _picture_candidates(G, subgroups, k)
-            picture = _coset_picture(G, m, *cands)
+            picture = _coset_picture(G, m, *_picture_candidates(G, subgroups, k))
             assert picture == _naive_picture(G, m, subgroups)
             if 3 * qmask.bit_count() < 5 * k:
-                A = ElemSet(G.order, m)
-                assert classify(G, A, _qmask=qmask, _candidates=cands) == classify(G, A)
+                r = classify(G, ElemSet(G.order, m))
+                assert picture == (r.subgroup, r.rep_a, r.rep_b)
             else:
                 assert picture is None
 
@@ -261,12 +267,55 @@ def test_census_min_quotients_match_brute_force(make_group):
 
 
 def test_census_subset_counts_are_binomials(make_group):
-    for spec in ("symmetric 3", "cyclic 12", "dihedral 5"):
+    # the orbit sizes the census adds up per row must recover every subset
+    for spec in catalog_specs(16):
         G = make_group(spec)
         r = classification_census(G)
+        assert [row.size for row in r.by_size] == list(range(1, G.order + 1))
         for row in r.by_size:
-            assert row.subsets == math.comb(G.order, row.size)
-        assert r.subsets_scanned == 2 ** (G.order - 1)
+            assert row.subsets == math.comb(G.order, row.size), (spec, row.size)
+        assert r.subsets_scanned == 2 ** (G.order - 1), spec
+
+
+@pytest.mark.parametrize("spec", ["dihedral 4", "cyclic 12", "dicyclic 3"])
+def test_census_reports_the_structure_clauses_that_fail(monkeypatch, make_group,
+                                                         spec):
+    # a picture search that claims the whole group for every set inside a
+    # proper subgroup: the census must flag each such set, naming exactly
+    # the clauses that then fail, in report order
+    G = make_group(spec)
+    whole = ensure_subgroup(G, ElemSet(G.order, (1 << G.order) - 1))
+    search = census._coset_picture
+
+    def whole_group(group, amask, single, double):
+        picture = search(group, amask, single, double)
+        if picture and picture[2] is None and picture[0].order < G.order:
+            return whole, picture[1], None
+        return picture
+
+    monkeypatch.setattr(census, "_coset_picture", whole_group)
+    expected = []
+    for A in iter_canonical_sets(G):
+        r = classify(G, A)
+        if r.kind is ClassKind.SINGLE_COSET and r.subgroup.order < G.order:
+            failing = [name for name, ok in (
+                ("ratio_bound", 5 * A.size > 3 * G.order),
+                ("quotient_equals_subgroup",
+                 len(naive_quotient(G, A)) == G.order)) if not ok]
+            expected.append((list(A), "structure", "; ".join(failing)))
+    assert expected
+    got = classification_census(G).violations
+    assert [(list(v.subset), v.kind, v.detail) for v in got] == expected
+
+
+def test_census_checks_its_quotient_against_a_recomputation(monkeypatch, d4):
+    # on a small set the sweep's quotient set must meet an independent
+    # recomputation, and a mismatch must stop the census
+    recompute = classify_module.quotient_mask
+    monkeypatch.setattr(classify_module, "quotient_mask",
+                        lambda G, mask: recompute(G, mask) ^ 2)
+    with pytest.raises(ValueError, match="classification quotient does not match"):
+        classification_census(d4)
 
 
 def test_census_extremal_rows_are_witnesses(make_group):

@@ -8,11 +8,14 @@ explicitly, since it is the configuration a naive normalizer-only reading
 misses.
 """
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from quotset.census import iter_canonical_sets
 from quotset.classify import (
     ClassKind,
     Classification,
@@ -22,7 +25,8 @@ from quotset.classify import (
     stability_diagnostics,
     verify_structure,
 )
-from quotset.groups import catalog_specs
+from quotset.cli import main
+from quotset.groups import build_group, catalog_specs
 from quotset.setops import ElemSet, left_translate_mask, quotient_set
 from quotset.subgroups import all_subgroups, double_coset, ensure_subgroup
 
@@ -189,6 +193,42 @@ def test_two_coset_quotient_size_is_exactly_three_subgroup_orders(make_group):
             r = classify(G, A, subgroups)
             if r.kind is ClassKind.TWO_COSETS:
                 assert r.quotient_size == 3 * r.subgroup.order, (spec, list(A))
+
+
+def test_classify_reports_match_golden_digest(capsys):
+    # sha256 over every small canonical set of the catalog up to order 12:
+    # its classification, the structure report and, for two cosets, the
+    # sufficiency report; then the classify verb's JSON for a single-coset,
+    # a split, a fused set and a translate of it, and a not-small set.
+    # Pinned before the census stopped building these reports for the sets
+    # it sweeps.
+    h = hashlib.sha256()
+    for spec in catalog_specs(12):
+        G = build_group(spec)
+        subgroups = all_subgroups(G)
+        for A in iter_canonical_sets(G):
+            r = classify(G, A, subgroups)
+            if not r.small:
+                continue
+            record = [spec, list(A), r.kind.value,
+                      list(r.subgroup) if r.subgroup else None,
+                      r.rep_a, r.rep_b, r.fused]
+            if r.kind is not ClassKind.VIOLATION:
+                record.append(verify_structure(G, A, r).to_dict())
+            if r.kind is ClassKind.TWO_COSETS:
+                record.append(check_sufficiency(
+                    G, r.subgroup, r.rep_a, r.rep_b, A).to_dict())
+            h.update(json.dumps(record).encode("utf-8") + b"\n")
+    for spec, literal in [("cyclic 12", "{0, 4, 8}"),
+                          ("cyclic 12", "{0, 1, 4, 5, 8, 9}"),
+                          ("dihedral 4", "{0, 1, 4, 5}"),
+                          ("dihedral 4", "{2, 3, 6, 7}"),
+                          ("cyclic 7", "{0, 1, 3}")]:
+        assert main(["classify", "--group", spec, "--set", literal,
+                     "--format", "json"]) == 0
+        h.update(capsys.readouterr().out.encode("utf-8"))
+    assert h.hexdigest() == (
+        "c6ca73da5699e74bb8c1d3f812662f72a576e9ebe0cdaf2d71ccce7ce43757ff")
 
 
 # === verify_structure error paths ===
