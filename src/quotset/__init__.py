@@ -44,25 +44,16 @@ from .groups import (
 from .reports import CheckItem, CheckReport
 from .setops import (
     ElemSet,
-    RepCounts,
     check_counting_bounds,
-    heavy_quotient,
-    inverse_set,
     parse_set_literal,
-    product_set,
     quotient_set,
-    representation_counts,
 )
 from .subgroups import (
     DEFAULT_SUBGROUP_CAP,
     Subgroup,
     all_subgroups,
     check_coset_laws,
-    coset_partition,
-    double_coset,
     ensure_subgroup,
-    generated_subgroup,
-    left_stabilizer,
     normalizer,
 )
 
@@ -83,7 +74,6 @@ __all__ = [
     "ElemSet",
     "GroupSpecError",
     "GroupTable",
-    "RepCounts",
     "ScanReport",
     "SizeRow",
     "StabilityDiagnostics",
@@ -99,21 +89,13 @@ __all__ = [
     "classification_census",
     "classify",
     "construct_threshold_example",
-    "coset_partition",
-    "double_coset",
     "ensure_subgroup",
     "find_structure_witness",
-    "generated_subgroup",
-    "heavy_quotient",
-    "inverse_set",
     "iter_canonical_sets",
-    "left_stabilizer",
     "normalizer",
     "parse_set_literal",
     "parse_spec_lines",
-    "product_set",
     "quotient_set",
-    "representation_counts",
     "stability_diagnostics",
     "structure_scan",
     "verify_group_axioms",

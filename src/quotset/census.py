@@ -494,8 +494,8 @@ def _sandwich(G: GroupTable, H: Subgroup, rep_bits: int) -> int:
                         product_mask(G, quotient_mask(G, rep_bits), H.bits))
 
 
-def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
-                           subgroups=None, *, _qmask: int | None = None,
+def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int, *,
+                           _qmask: int | None = None,
                            _candidates=None) -> StructureWitness | None:
     """Search for a subgroup witnessing the bounded-representative structure.
 
@@ -522,7 +522,7 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
 
     ``_qmask`` and ``_candidates`` are for the scan, which already holds the
     quotient set of A and the ``(H, left_cosets(G, H))`` pairs to try in
-    place of ``subgroups``; both are trusted as given.
+    place of every subgroup of G; both are trusted as given.
     """
     if A.n != G.order:
         raise ValueError(f"set is over order {A.n}, group has order {G.order}")
@@ -533,8 +533,7 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int,
     if n < 1:
         raise ValueError(f"max_reps must be at least 1, got {n}")
     if _candidates is None:
-        _candidates = ((H, left_cosets(G, H)) for H in
-                       (all_subgroups(G) if subgroups is None else subgroups))
+        _candidates = ((H, left_cosets(G, H)) for H in all_subgroups(G))
     k = amask.bit_count()
     qmask = quotient_mask(G, amask) if _qmask is None else _qmask
     qk = qmask.bit_count()

@@ -148,8 +148,7 @@ def _coset_picture(G: GroupTable, amask: int, single, double):
     return None
 
 
-def classify(G: GroupTable, A: ElemSet,
-             subgroups: tuple[Subgroup, ...] | None = None) -> Classification:
+def classify(G: GroupTable, A: ElemSet) -> Classification:
     """Classify a nonempty set by the structure forced by its quotient set.
 
     When 3|Q| < 5|A| this finds the smallest subgroup realizing the
@@ -171,8 +170,7 @@ def classify(G: GroupTable, A: ElemSet,
     if 3 * qk >= 5 * k:
         return Classification(ClassKind.NOT_SMALL, quotient, k, qk)
 
-    picture = _coset_picture(G, amask, *_picture_candidates(
-        G, all_subgroups(G) if subgroups is None else subgroups, k))
+    picture = _coset_picture(G, amask, *_picture_candidates(G, all_subgroups(G), k))
     if picture is None:
         return Classification(ClassKind.VIOLATION, quotient, k, qk)
     H, a, b = picture

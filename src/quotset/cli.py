@@ -41,7 +41,7 @@ from .groups import (
     parse_spec_lines,
     verify_group_axioms,
 )
-from .setops import ElemSet, check_counting_bounds, parse_set_literal, quotient_set
+from .setops import ElemSet, check_counting_bounds, parse_set_literal
 from .subgroups import all_subgroups, check_coset_laws, ensure_subgroup
 
 __all__ = ["main"]

@@ -287,7 +287,7 @@ def _symmetric_table(k: int) -> GroupTable:
     return _table_from_perms(elems, k, f"symmetric {k}")
 
 
-def _perm_closure_table(degree, gens, cap, original, base) -> GroupTable:
+def _perm_closure_table(degree, gens, original, base) -> GroupTable:
     ident = tuple(range(1, degree + 1))
     elems = [ident]
     index = {ident: 0}
@@ -298,9 +298,9 @@ def _perm_closure_table(degree, gens, cap, original, base) -> GroupTable:
         for g in gens:
             q = tuple(g[p[i] - 1] for i in range(degree))
             if q not in index:
-                if len(elems) >= cap:
+                if len(elems) >= DEFAULT_ORDER_CAP:
                     raise GroupSpecError(
-                        f"permutation closure exceeds the order cap {cap}",
+                        f"permutation closure exceeds the order cap {DEFAULT_ORDER_CAP}",
                         original, base)
                 index[q] = len(elems)
                 elems.append(q)
@@ -309,11 +309,12 @@ def _perm_closure_table(degree, gens, cap, original, base) -> GroupTable:
     return _table_from_perms(elems, degree, spec)
 
 
-def _product_table(a: GroupTable, b: GroupTable, cap, original, base) -> GroupTable:
+def _product_table(a: GroupTable, b: GroupTable, original, base) -> GroupTable:
     order = a.order * b.order
-    if order > cap:
-        raise GroupSpecError(f"product order {order} exceeds the order cap {cap}",
-                             original, base)
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupSpecError(
+            f"product order {order} exceeds the order cap {DEFAULT_ORDER_CAP}",
+            original, base)
     nb = b.order
     mul = [[0] * order for _ in range(order)]
     for i in range(a.order):
@@ -340,7 +341,7 @@ _GEN_RE = re.compile(r"\(([^()]*)\)")
 _INT_RE = re.compile(r"-?\d+$")
 
 
-def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def build_group(spec: str) -> GroupTable:
     """Build the group described by ``spec``; see the module docstring for the grammar.
 
     The returned table's ``spec`` field is the whitespace-normalized form of
@@ -349,7 +350,7 @@ def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     if not spec or not spec.strip():
         raise GroupSpecError("empty group spec", spec=spec or "", column=0)
     stripped = spec.strip()
-    return _parse_spec(spec, stripped, len(spec) - len(spec.lstrip()), order_cap)
+    return _parse_spec(spec, stripped, len(spec) - len(spec.lstrip()))
 
 
 def _parse_int(token, original, column):
@@ -358,7 +359,7 @@ def _parse_int(token, original, column):
     return int(token)
 
 
-def _parse_spec(original, text, base, cap) -> GroupTable:
+def _parse_spec(original, text, base) -> GroupTable:
     word = text.split(None, 1)[0]
     if word == "product":
         rest = text[len("product"):]
@@ -378,9 +379,9 @@ def _parse_spec(original, text, base, cap) -> GroupTable:
                 "nest products to the right", original, lhs_base)
         if not rhs_stripped:
             raise GroupSpecError("product spec is missing its right factor", original, base)
-        a = _parse_spec(original, lhs_stripped, lhs_base, cap)
-        b = _parse_spec(original, rhs_stripped, rhs_base, cap)
-        return _product_table(a, b, cap, original, base)
+        a = _parse_spec(original, lhs_stripped, lhs_base)
+        b = _parse_spec(original, rhs_stripped, rhs_base)
+        return _product_table(a, b, original, base)
 
     if word == "perm" or word.startswith("perm"):
         m = _PERM_RE.fullmatch(text)
@@ -406,7 +407,7 @@ def _parse_spec(original, text, base, cap) -> GroupTable:
                     f"generator ({body}) is not a permutation of 1..{degree}",
                     original, base + m.start(2))
             gens.append(images)
-        return _perm_closure_table(degree, gens, cap, original, base)
+        return _perm_closure_table(degree, gens, original, base)
 
     m = _FAMILY_RE.fullmatch(text)
     if not m:
@@ -433,8 +434,8 @@ def _parse_spec(original, text, base, cap) -> GroupTable:
             raise GroupSpecError("dicyclic needs M >= 2", original, base + m.start(2))
         order = 4 * value
         builder = _dicyclic_table
-    if order > cap:
-        raise GroupSpecError(f"order {order} exceeds the order cap {cap}",
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupSpecError(f"order {order} exceeds the order cap {DEFAULT_ORDER_CAP}",
                              original, base)
     return builder(value)
 

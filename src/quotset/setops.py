@@ -16,13 +16,8 @@ from .reports import CheckItem, CheckReport
 
 __all__ = [
     "ElemSet",
-    "RepCounts",
     "parse_set_literal",
-    "product_set",
-    "inverse_set",
     "quotient_set",
-    "representation_counts",
-    "heavy_quotient",
     "check_counting_bounds",
 ]
 
@@ -195,82 +190,17 @@ def is_subgroup_mask(G: GroupTable, mask: int) -> bool:
 # public wrappers
 
 
-def _bits(G: GroupTable, s: ElemSet, what: str) -> int:
+def _bits_nonempty(G: GroupTable, s: ElemSet, what: str) -> int:
     if s.n != G.order:
         raise ValueError(f"{what} is over order {s.n}, group has order {G.order}")
-    return s.bits
-
-
-def _bits_nonempty(G: GroupTable, s: ElemSet, what: str) -> int:
-    bits = _bits(G, s, what)
-    if not bits:
+    if not s.bits:
         raise ValueError(f"{what} must be nonempty")
-    return bits
-
-
-def product_set(G: GroupTable, A: ElemSet, B: ElemSet) -> ElemSet:
-    """The product set AB = {a*b : a in A, b in B}."""
-    return ElemSet(G.order, product_mask(G, _bits(G, A, "A"), _bits(G, B, "B")))
-
-
-def inverse_set(G: GroupTable, A: ElemSet) -> ElemSet:
-    """The set of inverses of the elements of A."""
-    return ElemSet(G.order, invert_mask(G, _bits(G, A, "A")))
+    return s.bits
 
 
 def quotient_set(G: GroupTable, A: ElemSet) -> ElemSet:
     """The quotient set of A: all elements inv(a)*b with a, b in A."""
     return ElemSet(G.order, quotient_mask(G, _bits_nonempty(G, A, "A")))
-
-
-@dataclass(frozen=True, slots=True)
-class RepCounts:
-    """Representation counts of every group element over a pair of sets.
-
-    For ``form="quotient"`` entry g counts the pairs with inv(a)*b = g; for
-    ``form="product"`` it counts the pairs with a*b = g.  With A = B in
-    quotient form, entry g is the size of ``A`` meet ``Ag``.
-    """
-
-    form: str
-    counts: tuple[int, ...]
-
-    def __getitem__(self, g: int) -> int:
-        return self.counts[g]
-
-    def support(self) -> ElemSet:
-        return ElemSet.from_elements(
-            len(self.counts), (g for g, c in enumerate(self.counts) if c))
-
-
-def representation_counts(G: GroupTable, A: ElemSet, B: ElemSet | None = None,
-                          form: str = "quotient") -> RepCounts:
-    bmask = _bits_nonempty(G, B, "B") if B is not None else None
-    amask = _bits_nonempty(G, A, "A")
-    if bmask is None:
-        bmask = amask
-    if form == "quotient":
-        counts = rep_counts_quotient_mask(G, amask, bmask)
-    elif form == "product":
-        counts = rep_counts_product_mask(G, amask, bmask)
-    else:
-        raise ValueError(f"form must be 'quotient' or 'product', got {form!r}")
-    return RepCounts(form, tuple(counts))
-
-
-def heavy_quotient(G: GroupTable, A: ElemSet) -> ElemSet:
-    """Quotients of A represented strictly more than |Q| - |A| times.
-
-    Q is the quotient set of A; the threshold makes the heavy part exactly
-    the elements whose representation count survives the worst pigeonhole
-    slack between |Q| and |A|.
-    """
-    amask = _bits_nonempty(G, A, "A")
-    qsize = quotient_mask(G, amask).bit_count()
-    threshold = qsize - amask.bit_count()
-    counts = rep_counts_quotient_mask(G, amask, amask)
-    return ElemSet.from_elements(
-        G.order, (g for g, c in enumerate(counts) if c > threshold))
 
 
 def check_counting_bounds(G: GroupTable, A: ElemSet, B: ElemSet) -> CheckReport:

@@ -1,4 +1,4 @@
-"""Subgroup enumeration, normalizers, coset partitions, and the coset laws."""
+"""Subgroup enumeration, normalizers, left cosets, and the coset laws."""
 
 from __future__ import annotations
 
@@ -19,17 +19,13 @@ __all__ = [
     "DEFAULT_SUBGROUP_CAP",
     "Subgroup",
     "ensure_subgroup",
-    "generated_subgroup",
     "all_subgroups",
     "normalizer",
     "left_cosets",
-    "left_stabilizer",
-    "coset_partition",
-    "double_coset",
     "check_coset_laws",
 ]
 
-#: ``all_subgroups`` refuses groups beyond this order unless told otherwise.
+#: ``all_subgroups`` refuses groups beyond this order.
 DEFAULT_SUBGROUP_CAP = 64
 
 
@@ -62,19 +58,7 @@ def ensure_subgroup(G: GroupTable, s: ElemSet) -> Subgroup:
     return Subgroup(s, s.size)
 
 
-def generated_subgroup(G: GroupTable, generators) -> Subgroup:
-    """The subgroup generated by an iterable of element ids."""
-    bits = 0
-    for x in generators:
-        if not 0 <= x < G.order:
-            raise ValueError(f"element id {x} out of range for order {G.order}")
-        bits |= 1 << x
-    closed = subgroup_closure_mask(G, bits)
-    s = ElemSet(G.order, closed)
-    return Subgroup(s, s.size)
-
-
-def all_subgroups(G: GroupTable, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple[Subgroup, ...]:
+def all_subgroups(G: GroupTable) -> tuple[Subgroup, ...]:
     """Every subgroup of G, sorted by (order, bitmask).
 
     Found by closing all cyclic subgroups and then joining pairs until no new
@@ -82,9 +66,9 @@ def all_subgroups(G: GroupTable, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple[Subgr
     """
     if G._subgroups is not None:
         return G._subgroups
-    if G.order > cap:
-        raise ValueError(
-            f"subgroup enumeration over order {G.order} exceeds the cap {cap}")
+    if G.order > DEFAULT_SUBGROUP_CAP:
+        raise ValueError(f"subgroup enumeration over order {G.order} "
+                         f"exceeds the cap {DEFAULT_SUBGROUP_CAP}")
     masks = {subgroup_closure_mask(G, 1 << x) for x in range(G.order)}
     items = sorted(masks)
     i = 0
@@ -126,48 +110,6 @@ def left_cosets(G: GroupTable, H: Subgroup) -> tuple[int, ...]:
         cosets = G._cosets[hbits] = tuple(left_translate_mask(G, x, hbits)
                                           for x in range(G.order))
     return cosets
-
-
-def left_stabilizer(G: GroupTable, A: ElemSet) -> Subgroup:
-    """The subgroup of g with Ag = A, for nonempty A."""
-    if A.n != G.order:
-        raise ValueError(f"set is over order {A.n}, group has order {G.order}")
-    if not A:
-        raise ValueError("the stabilized set must be nonempty")
-    bits = 0
-    for g in range(G.order):
-        if right_translate_mask(G, g, A.bits) == A.bits:
-            bits |= 1 << g
-    s = ElemSet(G.order, bits)
-    return Subgroup(s, s.size)
-
-
-def coset_partition(G: GroupTable, H: Subgroup, side: str = "left") -> tuple[ElemSet, ...]:
-    """The left, right, or double cosets of H, ordered by smallest member."""
-    if side == "left":
-        block = lambda g: left_translate_mask(G, g, H.bits)
-    elif side == "right":
-        block = lambda g: right_translate_mask(G, g, H.bits)
-    elif side == "double":
-        block = lambda g: product_mask(G, H.bits, left_translate_mask(G, g, H.bits))
-    else:
-        raise ValueError(f"side must be 'left', 'right', or 'double', got {side!r}")
-    remaining = G.full_mask
-    blocks = []
-    while remaining:
-        low = remaining & -remaining
-        b = block(low.bit_length() - 1)
-        blocks.append(ElemSet(G.order, b))
-        remaining &= ~b
-    return tuple(blocks)
-
-
-def double_coset(G: GroupTable, H: Subgroup, g: int) -> ElemSet:
-    """The double coset HgH."""
-    if not 0 <= g < G.order:
-        raise ValueError(f"element id {g} out of range for order {G.order}")
-    return ElemSet(G.order,
-                   product_mask(G, H.bits, left_translate_mask(G, g, H.bits)))
 
 
 def check_coset_laws(G: GroupTable, H: Subgroup) -> CheckReport:

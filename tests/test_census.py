@@ -411,8 +411,7 @@ def test_scan_in_range_count_matches_brute_force(s3):
 def _unpruned_scan_counts(G, n):
     """The scan's counts recounted set by set, every subgroup tried and both
     searches run on every set they apply to."""
-    subgroups = all_subgroups(G)
-    cands = [(H, left_cosets(G, H)) for H in subgroups]
+    cands = [(H, left_cosets(G, H)) for H in all_subgroups(G)]
     in_range = witnesses = checked = 0
     counterexamples, failures = [], []
     for A in iter_canonical_sets(G):
@@ -420,7 +419,7 @@ def _unpruned_scan_counts(G, n):
         hit = (n + 1) * qk < (2 * n + 1) * k
         if hit:
             in_range += 1
-            if find_structure_witness(G, A, n, subgroups) is not None:
+            if find_structure_witness(G, A, n) is not None:
                 witnesses += 1
             else:
                 counterexamples.append(A)

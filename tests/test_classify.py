@@ -9,7 +9,6 @@ misses.
 """
 
 import hashlib
-import itertools
 import json
 import random
 
@@ -19,6 +18,7 @@ from quotset.census import iter_canonical_sets
 from quotset.classify import (
     ClassKind,
     Classification,
+    _window_masks,
     check_sufficiency,
     classify,
     construct_threshold_example,
@@ -28,7 +28,7 @@ from quotset.classify import (
 from quotset.cli import main
 from quotset.groups import build_group, catalog_specs
 from quotset.setops import ElemSet, left_translate_mask, quotient_set
-from quotset.subgroups import all_subgroups, double_coset, ensure_subgroup
+from quotset.subgroups import all_subgroups, ensure_subgroup
 
 from oracles import naive_generated, naive_heavy, naive_quotient, random_subset
 
@@ -171,10 +171,9 @@ def test_exhaustive_no_violation_on_small_groups(make_group):
     # whenever the quotient is small some picture must be found and verify
     for spec in catalog_specs(8):
         G = make_group(spec)
-        subgroups = all_subgroups(G)
         for bits in range(1, 1 << G.order):
             A = ElemSet(G.order, bits)
-            r = classify(G, A, subgroups)
+            r = classify(G, A)
             assert r.kind is not ClassKind.VIOLATION, (spec, list(A))
             if r.kind in (ClassKind.SINGLE_COSET, ClassKind.TWO_COSETS):
                 assert 3 * r.quotient_size < 5 * r.set_size
@@ -187,10 +186,9 @@ def test_two_coset_quotient_size_is_exactly_three_subgroup_orders(make_group):
     # the refined picture: |Q| = 3|H| exactly, in both window shapes
     for spec in catalog_specs(10):
         G = make_group(spec)
-        subgroups = all_subgroups(G)
         for bits in range(1, 1 << G.order, 2):
             A = ElemSet(G.order, bits)
-            r = classify(G, A, subgroups)
+            r = classify(G, A)
             if r.kind is ClassKind.TWO_COSETS:
                 assert r.quotient_size == 3 * r.subgroup.order, (spec, list(A))
 
@@ -205,9 +203,8 @@ def test_classify_reports_match_golden_digest(capsys):
     h = hashlib.sha256()
     for spec in catalog_specs(12):
         G = build_group(spec)
-        subgroups = all_subgroups(G)
         for A in iter_canonical_sets(G):
-            r = classify(G, A, subgroups)
+            r = classify(G, A)
             if not r.small:
                 continue
             record = [spec, list(A), r.kind.value,
@@ -302,8 +299,8 @@ def test_sufficiency_both_routes_skip_when_hypotheses_fail(s4):
         if H.order != 2:
             continue
         for d in range(24):
-            dc = double_coset(s4, H, d)
-            if dc.size == 4 and dc != double_coset(s4, H, s4.inv[d]):
+            hdh, hdinvh = _window_masks(s4, H.bits, d)
+            if hdh.bit_count() == 4 and hdh != hdinvh:
                 found = (H, d)
                 break
         if found:
@@ -322,10 +319,9 @@ def test_sufficiency_agrees_with_classify_everywhere(d4, s3):
     # drive the checker from every two-coset configuration the classifier
     # emits over two small groups
     for G in (d4, s3):
-        subgroups = all_subgroups(G)
         for bits in range(1, 1 << G.order, 2):
             A = ElemSet(G.order, bits)
-            r = classify(G, A, subgroups)
+            r = classify(G, A)
             if r.kind is ClassKind.TWO_COSETS:
                 report = check_sufficiency(G, r.subgroup, r.rep_a, r.rep_b, A)
                 assert report.ok, (G.spec, list(A), report.to_dict())

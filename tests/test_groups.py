@@ -251,11 +251,14 @@ def test_spec_errors_name_the_offending_column():
 
 
 def test_order_cap_is_enforced():
-    with pytest.raises(GroupSpecError, match="cap"):
-        build_group("cyclic 80", order_cap=64)
-    with pytest.raises(GroupSpecError, match="cap"):
+    # S8 by a cycle and a transposition: the closure passes 7! = 5040 elements
+    with pytest.raises(GroupSpecError,
+                       match="^permutation closure exceeds the order cap 5040 "):
+        build_group("perm degree=8 gens=[(2 3 4 5 6 7 8 1),(2 1 3 4 5 6 7 8)]")
+    with pytest.raises(GroupSpecError, match="^order 6000 exceeds the order cap 5040 "):
         build_group("cyclic 6000")
-    with pytest.raises(GroupSpecError, match="cap"):
+    with pytest.raises(GroupSpecError,
+                       match="^product order 5112 exceeds the order cap 5040 "):
         build_group("product cyclic 71 ; cyclic 72")
 
 

@@ -4,18 +4,15 @@ import random
 
 import pytest
 
+from quotset.classify import _window_masks
 from quotset.groups import ALTERNATING4_SPEC, build_group, catalog_specs
-from quotset.setops import ElemSet, is_subgroup_mask
+from quotset.setops import ElemSet, is_subgroup_mask, subgroup_closure_mask
 from quotset.subgroups import (
     Subgroup,
     all_subgroups,
     check_coset_laws,
-    coset_partition,
-    double_coset,
     ensure_subgroup,
-    generated_subgroup,
     left_cosets,
-    left_stabilizer,
     normalizer,
 )
 
@@ -37,13 +34,13 @@ def test_generated_subgroup_matches_breadth_first_oracle(make_group):
     for _ in range(150):
         G = make_group(rng.choice(specs))
         gens = random_subset(rng, G.order, hi=3)
-        sub = generated_subgroup(G, gens)
-        assert set(sub) == naive_generated(G, gens)
-        assert is_subgroup_mask(G, sub.bits)
+        sub = subgroup_closure_mask(G, sum(1 << x for x in gens))
+        assert set(ElemSet(G.order, sub)) == naive_generated(G, gens)
+        assert is_subgroup_mask(G, sub)
 
 
 def test_generated_subgroup_of_nothing_is_trivial(c8):
-    assert list(generated_subgroup(c8, [])) == [0]
+    assert subgroup_closure_mask(c8, 0) == 1
 
 
 def test_all_subgroups_equal_brute_force_on_small_groups(make_group):
@@ -84,11 +81,13 @@ def test_all_subgroups_ordering_and_lagrange(make_group):
 
 def test_all_subgroups_respects_the_order_cap():
     G = build_group("cyclic 70")
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError,
+                       match="subgroup enumeration over order 70 exceeds the cap 64"):
         all_subgroups(G)
-    assert len(all_subgroups(G, cap=70)) == 8
+    G = build_group("cyclic 64")
+    assert len(all_subgroups(G)) == 7
     # enumeration results are cached on the table afterwards
-    assert all_subgroups(G) is all_subgroups(G, cap=70)
+    assert all_subgroups(G) is all_subgroups(G)
 
 
 def test_ensure_subgroup_accepts_and_rejects(d4):
@@ -100,7 +99,7 @@ def test_ensure_subgroup_accepts_and_rejects(d4):
         ensure_subgroup(d4, ElemSet.from_elements(9, [0]))
 
 
-# === normalizers and stabilizers ===
+# === normalizers ===
 
 
 def test_normalizer_matches_oracle(make_group):
@@ -140,51 +139,15 @@ def test_normalizer_special_cases(d4, s3):
         assert set(normalizer(s3, H)) == set(H)
 
 
-def test_left_stabilizer(d4):
-    H = ensure_subgroup(d4, ElemSet.from_elements(8, [0, 4]))
-    assert set(left_stabilizer(d4, H.elements)) == {0, 4}
-    # a union of left cosets of H is stabilized by H exactly
-    union = ElemSet.from_elements(8, [0, 4, 1, 5])
-    assert set(left_stabilizer(d4, union)) == {0, 4}
-    with pytest.raises(ValueError):
-        left_stabilizer(d4, ElemSet(8))
-
-
-def test_left_stabilizer_is_always_a_subgroup(make_group):
-    rng = random.Random(0x57AB)
-    G = make_group("dihedral 6")
-    for _ in range(60):
-        A = ElemSet.from_elements(12, random_subset(rng, 12))
-        S = left_stabilizer(G, A)
-        assert is_subgroup_mask(G, S.bits)
-
-
 # === cosets ===
-
-
-def test_coset_partition_left_and_right(make_group):
-    for spec in ("symmetric 3", "dihedral 4", "cyclic 12"):
-        G = make_group(spec)
-        for H in all_subgroups(G):
-            for side in ("left", "right"):
-                blocks = coset_partition(G, H, side=side)
-                assert len(blocks) == G.order // H.order
-                assert all(b.size == H.order for b in blocks)
-                seen = 0
-                for b in blocks:
-                    assert seen & b.bits == 0
-                    seen |= b.bits
-                assert seen == G.full_mask
 
 
 def test_double_coset_partition_is_coarser(d4):
     H = ensure_subgroup(d4, ElemSet.from_elements(8, [0, 4]))
-    blocks = coset_partition(d4, H, side="double")
-    sizes = sorted(b.size for b in blocks)
+    blocks = {_window_masks(d4, H.bits, g)[0] for g in range(8)}
+    sizes = sorted(b.bit_count() for b in blocks)
     assert sizes == [2, 2, 4]
     assert sum(sizes) == 8
-    with pytest.raises(ValueError, match="side"):
-        coset_partition(d4, H, side="middle")
 
 
 def test_double_cosets_match_oracle(make_group):
@@ -195,19 +158,15 @@ def test_double_cosets_match_oracle(make_group):
         for _ in range(40):
             H = rng.choice(subs)
             g = rng.randrange(G.order)
-            assert set(double_coset(G, H, g)) == naive_double_coset(G, H, g)
+            hdh, hdinvh = _window_masks(G, H.bits, g)
+            assert set(ElemSet(G.order, hdh)) == naive_double_coset(G, H, g)
+            assert set(ElemSet(G.order, hdinvh)) == naive_double_coset(G, H, G.inv[g])
 
 
 def test_double_coset_size_is_a_coset_multiple(s4):
     for H in all_subgroups(s4):
         for g in range(0, 24, 5):
-            assert double_coset(s4, H, g).size % H.order == 0
-
-
-def test_double_coset_rejects_bad_element(d4):
-    H = ensure_subgroup(d4, ElemSet.from_elements(8, [0, 4]))
-    with pytest.raises(ValueError):
-        double_coset(d4, H, 8)
+            assert _window_masks(s4, H.bits, g)[0].bit_count() % H.order == 0
 
 
 # === the coset laws ===
