@@ -28,6 +28,11 @@ the converse direction from coset data alone; ``construct_threshold_example``
 builds the standard set showing the 5/3 ratio cannot be improved; and
 ``stability_diagnostics`` examines the heavily-represented part of the
 quotient set and the subgroup it spans.
+
+Every coset and window is read from the per-subgroup table
+``subgroups.left_cosets``: ``_window_masks`` gives HdH and H inv(d) H, and
+``_two_cosets`` holds the checks on aH | bH that the clause evaluator and
+``check_sufficiency`` share.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .setops import (
     product_mask,
     quotient_mask,
     rep_counts_quotient_mask,
-    right_translate_mask,
     subgroup_closure_mask,
 )
 from .subgroups import Subgroup, all_subgroups, left_cosets, normalizer
@@ -99,21 +103,37 @@ class Classification:
         return 3 * self.quotient_size, 5 * self.set_size
 
 
-def _window_masks(G: GroupTable, hbits: int, d: int) -> tuple[int, int]:
+def _window_masks(G: GroupTable, H: Subgroup, d: int) -> tuple[int, int]:
     """The double cosets HdH and H inv(d) H as bitmasks."""
-    d1 = product_mask(G, hbits, left_translate_mask(G, d, hbits))
-    d2 = product_mask(G, hbits, left_translate_mask(G, G.inv[d], hbits))
-    return d1, d2
+    cosets = left_cosets(G, H)
+    return (product_mask(G, H.bits, cosets[d]),
+            product_mask(G, H.bits, cosets[G.inv[d]]))
+
+
+def _two_cosets(G: GroupTable, H: Subgroup, amask: int, a: int, b: int):
+    """``(d, HdH, H inv(d) H)`` for d = inv(a)*b, after checking that aH and
+    bH are distinct left cosets that both meet A and together hold it;
+    raises ``ValueError`` naming the first check that fails."""
+    cosets = left_cosets(G, H)
+    coset_a, coset_b = cosets[a], cosets[b]
+    if coset_a == coset_b:
+        raise ValueError("representatives a and b lie in the same coset of H")
+    if amask & ~(coset_a | coset_b):
+        raise ValueError("set is not inside aH | bH")
+    if not (amask & coset_a) or not (amask & coset_b):
+        raise ValueError("set does not meet both cosets aH and bH")
+    d = G.mul[G.inv[a]][b]
+    return d, *_window_masks(G, H, d)
 
 
 def _picture_candidates(G: GroupTable, subgroups, k: int):
     """The subgroups, in ``subgroups`` order, that could hold a set of size k
     in one left coset (k <= |H| and 5k > 3|H|), and those that could hold it
-    in two (k <= 2|H| and 5k > 9|H|): ``(H, H.bits)`` pairs and
-    ``(H, H.bits, left cosets)`` triples."""
-    return ([(H, H.bits) for H in subgroups
+    in two (k <= 2|H| and 5k > 9|H|): two lists of ``(H, left cosets)``
+    pairs."""
+    return ([(H, left_cosets(G, H)) for H in subgroups
              if k <= H.order and 5 * k > 3 * H.order],
-            [(H, H.bits, left_cosets(G, H)) for H in subgroups
+            [(H, left_cosets(G, H)) for H in subgroups
              if k <= 2 * H.order and 5 * k > 9 * H.order])
 
 
@@ -128,22 +148,18 @@ def _coset_picture(G: GroupTable, amask: int, single, double):
     exactly 2|H|.
     """
     a = (amask & -amask).bit_length() - 1
-    # every swept set holds the identity, and translating by it is a no-op
-    t0 = left_translate_mask(G, G.inv[a], amask) if a else amask
-    for H, hbits in single:
-        if t0 & ~hbits == 0:
+    for H, cosets in single:
+        if amask & ~cosets[a] == 0:
             return H, a, None
-    for H, hbits, cosets in double:
+    for H, cosets in double:
         rest = amask & ~cosets[a]
         if not rest:
             continue
         b = (rest & -rest).bit_length() - 1
         if rest & ~cosets[b]:
             continue
-        d = G.mul[G.inv[a]][b]
-        window = (product_mask(G, hbits, cosets[d])
-                  | product_mask(G, hbits, cosets[G.inv[d]]))
-        if window.bit_count() == 2 * H.order:
+        d1, d2 = _window_masks(G, H, G.mul[G.inv[a]][b])
+        if (d1 | d2).bit_count() == 2 * H.order:
             return H, a, b
     return None
 
@@ -194,30 +210,23 @@ def _structure_clauses(G: GroupTable, amask: int, qmask: int, H: Subgroup,
     in aH | bH: clause values in ``_SINGLE_CLAUSES`` or ``_TWO_COSET_CLAUSES``
     order, None for the route that does not apply.  Raises ``ValueError`` if
     the quotient set of A, recomputed here, is not ``qmask``, or if A is not
-    inside the claimed cosets or misses one of two.
+    inside the claimed cosets, which ``_two_cosets`` checks for two.
     """
     if quotient_mask(G, amask) != qmask:
         raise ValueError("classification quotient does not match the given set")
     hbits, h = H.bits, H.order
     k5 = 5 * amask.bit_count()
-    coset_a = left_translate_mask(G, a, hbits)
+    cosets = left_cosets(G, H)
     if b is None:
-        if amask & ~coset_a:
+        if amask & ~cosets[a]:
             raise ValueError("set is not inside the claimed coset")
         return (k5 > 3 * h, qmask == hbits), None
 
-    coset_b = left_translate_mask(G, b, hbits)
-    if amask & ~(coset_a | coset_b):
-        raise ValueError("set is not inside the claimed pair of cosets")
-    if not (amask & coset_a) or not (amask & coset_b):
-        raise ValueError("set does not meet both claimed cosets")
-    d = G.mul[G.inv[a]][b]
-    d1, d2 = _window_masks(G, hbits, d)
+    d, d1, d2 = _two_cosets(G, H, amask, a, b)
     window = d1 | d2
     split = fused = None
     if d in normalizer(G, H):
-        split = (d1 == left_translate_mask(G, d, hbits)
-                 and d2 == left_translate_mask(G, G.inv[d], hbits)
+        split = (d1 == cosets[d] and d2 == cosets[G.inv[d]]
                  and not (d1 & d2) and G.mul[d][d] not in H)
     else:
         fused = d1 == d2 and d1.bit_count() == 2 * h
@@ -284,18 +293,9 @@ def check_sufficiency(G: GroupTable, H: Subgroup, a: int, b: int,
       quotient set must be exactly H | HdH | H inv(d) H.
     """
     amask = A.bits
-    coset_a = left_translate_mask(G, a, H.bits)
-    coset_b = left_translate_mask(G, b, H.bits)
-    if coset_a == coset_b:
-        raise ValueError("representatives a and b lie in the same coset of H")
-    if amask & ~(coset_a | coset_b):
-        raise ValueError("set is not inside aH | bH")
-    if not (amask & coset_a) or not (amask & coset_b):
-        raise ValueError("set does not meet both cosets aH and bH")
-
+    d, d1, d2 = _two_cosets(G, H, amask, a, b)
+    cosets = left_cosets(G, H)
     k, h = amask.bit_count(), H.order
-    d = G.mul[G.inv[a]][b]
-    d1, d2 = _window_masks(G, H.bits, d)
     wsize = (d1 | d2).bit_count()
     qmask = quotient_mask(G, amask)
     qk = qmask.bit_count()
@@ -304,8 +304,8 @@ def check_sufficiency(G: GroupTable, H: Subgroup, a: int, b: int,
     if wsize == 2 * h and 5 * k > 9 * h:
         items.append(CheckItem("direct_smallness", 3 * qk < 5 * k,
                                f"3|Q| = {3 * qk}, 5|A| = {5 * k}"))
-        x = left_translate_mask(G, G.inv[a], amask & coset_a)
-        y = left_translate_mask(G, G.inv[b], amask & coset_b)
+        x = left_translate_mask(G, G.inv[a], amask & cosets[a])
+        y = left_translate_mask(G, G.inv[b], amask & cosets[b])
         xinv, yinv = invert_mask(G, x), invert_mask(G, y)
         expected = (product_mask(G, xinv, x)
                     | product_mask(G, yinv, y)
@@ -324,10 +324,9 @@ def check_sufficiency(G: GroupTable, H: Subgroup, a: int, b: int,
             "forced_window", wsize <= 2 * h,
             f"|HdH | Hd^-1H| = {wsize}, 2|H| = {2 * h}, d = {G.name_of(d)}"))
         if d in normalizer(G, H) and G.mul[d][d] in H:
-            doubled = H.bits | left_translate_mask(G, d, H.bits)
-            ok = (is_subgroup_mask(G, doubled)
-                  and amask & ~left_translate_mask(G, a, doubled) == 0
-                  and 5 * k > 3 * doubled.bit_count())
+            # A lies in aH | bH, which is the coset a(H | dH) as ad = b
+            doubled = H.bits | cosets[d]
+            ok = is_subgroup_mask(G, doubled) and 5 * k > 3 * doubled.bit_count()
             items.append(CheckItem(
                 "single_coset_conclusion", ok,
                 "A inside one coset of the doubled subgroup H | dH"))
@@ -363,9 +362,9 @@ def construct_threshold_example(G: GroupTable, H: Subgroup, g: int) -> ElemSet:
                 f"power {i} of {G.name_of(g)} lands in the subgroup; "
                 "the three cosets would collapse")
         power = G.mul[power][g]
-    amask = (left_translate_mask(G, G.inv[g], H.bits)
-             | H.bits
-             | right_translate_mask(G, g, H.bits))
+    # g normalizes H, so the right coset Hg is the left coset gH
+    cosets = left_cosets(G, H)
+    amask = cosets[G.inv[g]] | H.bits | cosets[g]
     if amask.bit_count() != 3 * H.order:
         raise RuntimeError("threshold construction produced overlapping cosets")
     if 3 * quotient_mask(G, amask).bit_count() != 5 * amask.bit_count():

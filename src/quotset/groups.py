@@ -74,13 +74,14 @@ class _ActionTables(NamedTuple):
 
     A mask is three chunks of ``width`` = ceil(order/3) bits.  For the
     elements X that value ``v`` of chunk ``c`` marks, ``rows[c][v][a]`` is
-    the mask inv(a)*X, ``right[c][v][g]`` is X*g, ``invert[c][v]`` holds the
-    inverses of X, and ``elems[c][v]`` lists X without the identity,
-    ascending; chunks past the order hold only the value 0.  A translate is
-    three lookups and two ORs, and all translates of one set share its rows;
-    the sweep kernel also shares the OR of the two high chunks' rows across
-    every mask that has those chunks, so its translates take two lookups and
-    one OR.
+    the mask inv(a)*X, ``invert[c][v]`` holds the inverses of X, and
+    ``elems[c][v]`` lists X without the identity, ascending; chunks past the
+    order hold only the value 0.  A translate is three lookups and two ORs,
+    and all translates of one set share its rows; the sweep kernel also
+    shares the OR of the two high chunks' rows across every mask that has
+    those chunks, so its translates take two lookups and one OR.  Right
+    actions go through inverses, Xg = inv(inv(g)*inv(X)), so no second
+    table family is kept.
 
     Three chunks keep ``rows`` at 3 * 2^w rows of ``order`` masks, about
     200,000 masks at the hard sweep cap (order 32, w = 11); two chunks would
@@ -92,7 +93,6 @@ class _ActionTables(NamedTuple):
     width: int
     chunk_mask: int
     rows: list
-    right: list
     invert: list
     elems: list
 
@@ -115,22 +115,21 @@ class _Wide:
         return reduce(self.join, [part[v >> i * w & cm] for i, part in enumerate(self.parts)])
 
 
-def _chunk_tables(lefts, rights, inv, base, bits):
-    """``(rows, right, invert, elems)`` of the chunk of ``bits`` bits at ``base``."""
+def _chunk_tables(lefts, inv, base, bits):
+    """``(rows, invert, elems)`` of the chunk of ``bits`` bits at ``base``."""
     # Lists, not tuples: CPython keeps freed small tuples on per-size free
     # lists until a full collection, and a many-group sweep would pile up
     # every group's rows there.
     n = len(inv)
-    r, q, i, e = [[0] * n], [[0] * n], [0], [[]]
+    r, i, e = [[0] * n], [0], [[]]
     for v in range(1, 1 << max(0, bits)):
         low = v & -v
         x = base + low.bit_length() - 1
         rest = v ^ low
         r.append(list(map(or_, r[rest], lefts[x])))
-        q.append(list(map(or_, q[rest], rights[x])))
         i.append(i[rest] | 1 << inv[x])
         e.append([x] + e[rest] if x else e[rest])
-    return r, q, i, e
+    return r, i, e
 
 
 class GroupTable:
@@ -139,7 +138,9 @@ class GroupTable:
     Treat instances as read-only; the private fields only cache derived data
     (action tables, subgroup lists, per-subgroup normalizers and left-coset
     tables, and the witness search's per-(subgroup, representatives)
-    products) and rebuilding them is always idempotent.
+    products) and rebuilding them is always idempotent.  ``_cosets`` is the
+    one source of cosets: ``subgroups.left_cosets`` fills it, and right
+    cosets and double cosets are read from it.
 
     ``_rep_products`` maps ``(H.bits, rep_bits)`` to the coset cover A0*H,
     the sandwich H A0^-1 A0 H and the window-shape clause of the structure
@@ -164,10 +165,6 @@ class GroupTable:
         self._rep_products = {}
         self._subgroups = None
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.order) - 1
-
     def name_of(self, x: int) -> str:
         return self.element_names[x]
 
@@ -176,21 +173,20 @@ class GroupTable:
         if tables is None:
             n, mul, inv = self.order, self.mul, self.inv
             w = -(-n // 3)
-            # lefts[x][a] is the bit of inv(a)*x, and rights[x][g] that of x*g
+            # lefts[x][a] is the bit of inv(a)*x
             lefts = [[1 << mul[inv[a]][x] for a in range(n)] for x in range(n)]
-            rights = [[1 << y for y in mul[x]] for x in range(n)]
             chunks = []
             for base in range(0, 3 * w, w):
                 bits = min(w, n - base)
                 if w <= 12:
-                    chunks.append(_chunk_tables(lefts, rights, inv, base, bits))
+                    chunks.append(_chunk_tables(lefts, inv, base, bits))
                     continue
                 s = -(-w // -(-w // 8))  # the fewest sub-chunks, evenly wide
-                subs = [_chunk_tables(lefts, rights, inv, base + j, min(s, bits - j))
+                subs = [_chunk_tables(lefts, inv, base + j, min(s, bits - j))
                         for j in range(0, w, s)]
-                # rows and right rows join entrywise, masks by OR, lists end to end
+                # rows join entrywise, masks by OR, lists end to end
                 chunks.append([_Wide([sub[k] for sub in subs], s, join)
-                               for k, join in enumerate((_or_rows, _or_rows, or_, add))])
+                               for k, join in enumerate((_or_rows, or_, add))])
             tables = _ActionTables(w, (1 << w) - 1, *map(list, zip(*chunks)))
             self._tables = tables
         return tables

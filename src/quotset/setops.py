@@ -105,12 +105,6 @@ def left_translate_mask(G: GroupTable, a: int, mask: int) -> int:
     return t0[mask & cm][a] | t1[mask >> w & cm][a] | t2[mask >> 2 * w & cm][a]
 
 
-def right_translate_mask(G: GroupTable, g: int, mask: int) -> int:
-    t = G.action_tables()
-    w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.right
-    return t0[mask & cm][g] | t1[mask >> w & cm][g] | t2[mask >> 2 * w & cm][g]
-
-
 def invert_mask(G: GroupTable, mask: int) -> int:
     t = G.action_tables()
     w, cm, (i0, i1, i2) = t.width, t.chunk_mask, t.invert
@@ -153,10 +147,12 @@ def rep_counts_quotient_mask(G: GroupTable, amask: int, bmask: int) -> list[int]
     Equivalently the size of ``Ag`` meet ``B``, so counts[g] > 0 exactly on
     the quotient-style product of the two sets.
     """
+    # |Ag meet B| = |inv(g)*inv(A) meet inv(B)|, entry g of inv(A)'s rows
     t = G.action_tables()
-    w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.right
-    return [((x | y | z) & bmask).bit_count() for x, y, z in
-            zip(t0[amask & cm], t1[amask >> w & cm], t2[amask >> 2 * w & cm])]
+    w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.rows
+    ainv, binv = invert_mask(G, amask), invert_mask(G, bmask)
+    return [((x | y | z) & binv).bit_count() for x, y, z in
+            zip(t0[ainv & cm], t1[ainv >> w & cm], t2[ainv >> 2 * w & cm])]
 
 
 def rep_counts_product_mask(G: GroupTable, amask: int, bmask: int) -> list[int]:

@@ -8,10 +8,9 @@ from .groups import GroupTable
 from .reports import CheckItem, CheckReport
 from .setops import (
     ElemSet,
+    invert_mask,
     is_subgroup_mask,
-    left_translate_mask,
     product_mask,
-    right_translate_mask,
     subgroup_closure_mask,
 )
 
@@ -90,25 +89,29 @@ def normalizer(G: GroupTable, H: Subgroup) -> ElemSet:
     """The set of g with gH = Hg, cached per subgroup on the group table."""
     cached = G._normalizers.get(H.bits)
     if cached is None:
-        hbits = H.bits
-        cached = 0
-        for g in range(G.order):
-            if left_translate_mask(G, g, hbits) == right_translate_mask(G, g, hbits):
-                cached |= 1 << g
-        G._normalizers[H.bits] = cached
+        # the right coset Hg is inv(inv(g)*H)
+        cosets = left_cosets(G, H)
+        cached = G._normalizers[H.bits] = sum(
+            1 << g for g in range(G.order)
+            if cosets[g] == invert_mask(G, cosets[G.inv[g]]))
     return ElemSet(G.order, cached)
 
 
 def left_cosets(G: GroupTable, H: Subgroup) -> tuple[int, ...]:
     """``cosets[x]`` is the left coset xH as a bitmask, for every element x.
 
-    Built on first use and cached per subgroup on the group table.
+    The one source of cosets: right cosets are read as Hg = inv(inv(g)*H)
+    and double cosets as H*(gH).  Built on first use from H's rows in the
+    action tables and cached per subgroup on the group table.
     """
     hbits = H.bits
     cosets = G._cosets.get(hbits)
     if cosets is None:
-        cosets = G._cosets[hbits] = tuple(left_translate_mask(G, x, hbits)
-                                          for x in range(G.order))
+        # xH = inv(y)*H for y = inv(x), entry y of H's rows
+        t = G.action_tables()
+        w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.rows
+        r0, r1, r2 = t0[hbits & cm], t1[hbits >> w & cm], t2[hbits >> 2 * w & cm]
+        cosets = G._cosets[hbits] = tuple(r0[y] | r1[y] | r2[y] for y in G.inv)
     return cosets
 
 
@@ -132,8 +135,8 @@ def check_coset_laws(G: GroupTable, H: Subgroup) -> CheckReport:
     h = H.order
     mul = G.mul
     norm = normalizer(G, H).bits
-    lefts = [left_translate_mask(G, a, hbits) for a in range(n)]
-    rights = [right_translate_mask(G, b, hbits) for b in range(n)]
+    lefts = left_cosets(G, H)
+    rights = [invert_mask(G, lefts[G.inv[b]]) for b in range(n)]  # Hb
     items = []
 
     witness = None

@@ -195,5 +195,5 @@ def test_acceptance_7_oracle_cross_check(accept, make_group):
             subgroups = all_subgroups(G)
             H = subgroups[rng.randrange(len(subgroups))]
             g = rng.randrange(G.order)
-            assert (set(ElemSet(G.order, _window_masks(G, H.bits, g)[0]))
+            assert (set(ElemSet(G.order, _window_masks(G, H, g)[0]))
                     == naive_double_coset(G, set(H), g))

@@ -254,6 +254,12 @@ def test_verify_structure_rejects_witness_outside_cosets(c12):
                          rep_a=0)
     with pytest.raises(ValueError, match="coset"):
         verify_structure(c12, A, bad)
+    # a two-coset claim whose representatives share one coset of H
+    same = Classification(ClassKind.TWO_COSETS, r.quotient, r.set_size,
+                          r.quotient_size, subgroup=r.subgroup, rep_a=0,
+                          rep_b=4, fused=False)
+    with pytest.raises(ValueError, match="same coset"):
+        verify_structure(c12, A, same)
 
 
 # === the sufficiency checker ===
@@ -299,7 +305,7 @@ def test_sufficiency_both_routes_skip_when_hypotheses_fail(s4):
         if H.order != 2:
             continue
         for d in range(24):
-            hdh, hdinvh = _window_masks(s4, H.bits, d)
+            hdh, hdinvh = _window_masks(s4, H, d)
             if hdh.bit_count() == 4 and hdh != hdinvh:
                 found = (H, d)
                 break

@@ -427,9 +427,36 @@ def test_output_file_in_a_missing_directory(capsys, tmp_path):
      "5e584bba6e1e36f3e5047a40148c2a90c2febe4a593a49dba0449a40519a279e"),
     (["conjecture-scan", "--max-order", "16", "--n", "3", "--format", "json"],
      "1297da09eb73ec1c7235c782db4566d2a8d9376dbcabb528a15174536a5894be"),
+    # the order-16 reports again at two jobs, with the same digests
+    (["census", "--max-order", "16", "--format", "json", "--jobs", "2"],
+     "5e584bba6e1e36f3e5047a40148c2a90c2febe4a593a49dba0449a40519a279e"),
+    (["conjecture-scan", "--max-order", "16", "--n", "3", "--format", "json",
+      "--jobs", "2"],
+     "1297da09eb73ec1c7235c782db4566d2a8d9376dbcabb528a15174536a5894be"),
 ])
 def test_sweep_reports_match_golden_digests(capsys, argv, digest):
     code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of stdout for the verbs that read normalizers, right cosets and
+# representation counts outside the sweeps; dihedral 20 (order 40) is past
+# order 36, where the action tables are stored as sub-chunks
+@pytest.mark.parametrize("argv, digest", [
+    (["check-lemmas", "--group", "symmetric 4", "--box-trials", "30", "--seed", "5"],
+     "157890ae61bbc7a925d3fa1b97b47926fbe3e1e435d8be5828e5aac07bb738bd"),
+    (["check-lemmas", "--group", "dihedral 20", "--box-trials", "30", "--seed", "5"],
+     "d57490dc4ea8ddcf76931ca0f35ed381d08619f33a0d6e7da5b664e486e3fdcc"),
+    (["construct-extremal", "--group", "dicyclic 6", "--subgroup", "{0, 6}",
+      "--g", "1"],
+     "6d03b8ebde87b4b3858163a190652e675fcea9338f26d0383f1401e2821ec6f4"),
+    (["construct-extremal", "--group", "dihedral 20", "--subgroup",
+      "{0, 5, 10, 15}", "--g", "3"],
+     "b0add2c7652a9d17093cdf752e810fe79d8257339ed6bcc31d05d85f90a525a1"),
+])
+def test_lemma_and_extremal_reports_match_golden_digests(capsys, argv, digest):
+    code, out, _ = run(capsys, argv + ["--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

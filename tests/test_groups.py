@@ -47,18 +47,15 @@ def _check_chunk(G, base, tables):
     # every stored entry against mul and inv: entry v lists, inverts or
     # translates the elements X that the bits of v mark, counted from base;
     # distinct elements have distinct images, so each sum is their union
-    rows, right, invert, elems = tables
+    rows, invert, elems = tables
     sets = [[base + i for i in range(v.bit_length()) if v >> i & 1]
             for v in range(len(rows))]
     assert elems == [[x for x in X if x] for X in sets]
     assert invert == [sum({1 << G.inv[x] for x in X}) for X in sets]
     for a in range(G.order):
         left_bits = [1 << G.mul[G.inv[a]][x] for x in range(G.order)]
-        right_bits = [1 << G.mul[x][a] for x in range(G.order)]
         assert [row[a] for row in rows] == [
             sum(map(left_bits.__getitem__, X)) for X in sets]
-        assert [row[a] for row in right] == [
-            sum(map(right_bits.__getitem__, X)) for X in sets]
 
 
 def test_action_tables_layout_and_entries(make_group):
@@ -74,7 +71,7 @@ def test_action_tables_layout_and_entries(make_group):
         t = G.action_tables()
         w = -(-n // 3)
         assert t.width == w and t.chunk_mask == (1 << w) - 1
-        tables = (t.rows, t.right, t.invert, t.elems)
+        tables = (t.rows, t.invert, t.elems)
         assert all(len(table) == 3 for table in tables)
         for c in range(3):
             base, bits = c * w, max(0, min(w, n - c * w))
@@ -94,8 +91,6 @@ def test_action_tables_layout_and_entries(make_group):
             assert t.invert[c][full] == sum(1 << G.inv[x] for x in X)
             assert t.rows[c][full] == [sum(1 << y for y in {G.mul[G.inv[a]][x] for x in X})
                                        for a in range(n)]
-            assert t.right[c][full] == [sum(1 << y for y in {G.mul[x][a] for x in X})
-                                        for a in range(n)]
 
 
 # === family conventions ===
