@@ -27,14 +27,26 @@ once.  The kernel walks the masks in blocks that share their two high
 chunks, merges those chunks' rows once per block, and so pays two lookups
 and one OR per translate.
 
+Before any translate, a block drops in bulk the masks it can prove are not
+canonical.  Masks compare as integers, so a canonical A has
+max(inv(a)*A) >= max(A) for every a in A: a translate whose elements all
+lie below A's top element is a smaller mask.  In a block whose high chunks
+are not empty that top element h is fixed, and the merged rows tell for
+each a whether the high chunks alone already reach h; where they do not, a
+per-partition table (``_prefilter_tables``) gives, as one bitset over the
+chunk-0 values, the values that do reach it or that leave a out of A.
+ANDing those bitsets leaves about one mask in five at orders 16-18, and the
+translate loop still decides each survivor.
+
 Multi-process sweeps partition the subsets by their membership pattern on
 the lowest non-identity ids and merge the partial reports in a fixed order,
-so the rendered output is identical for every job count.
+so the rendered output is identical for every job count.  Groups below
+``_POOL_MIN_ORDER`` are swept in process whatever the job count, because
+starting a worker pool costs more than their whole sweep.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from operator import or_
@@ -76,6 +88,13 @@ DEFAULT_CENSUS_CAP = 24
 #: run), its 2^31 masks take about 15 minutes at jobs 2 at the ~2.45 M masks/s
 #: that the order-24 census-deep benchmark measures.
 HARD_CENSUS_CAP = 32
+
+#: Groups below this order are swept in process at every job count: there a
+#: worker pool costs more than it saves.  Census times at jobs 1 / jobs 2,
+#: best of three to five runs in process on 2 cores: `cyclic 17` 0.020 /
+#: 0.044 s, order-18 groups 0.04-0.05 s either way, `cyclic 19` 0.067 /
+#: 0.057 s.
+_POOL_MIN_ORDER = 18
 
 
 def canonical_form(G: GroupTable, A: ElemSet) -> ElemSet:
@@ -129,14 +148,18 @@ def _sweep_partitions(G: GroupTable, jobs: int, partition, *args) -> list:
     """``partition(G, subgroups, *args, fixed_width, pattern)`` for every
     partition of the masks, in partition order.
 
-    With more than one job each partition runs in a worker process, which
+    With more than one job, and a group of order at least
+    ``_POOL_MIN_ORDER``, each partition runs in a worker process, which
     rebuilds the group from its spec.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    b = min((jobs - 1).bit_length(), G.order - 1)
+    b = (min((jobs - 1).bit_length(), G.order - 1)
+         if G.order >= _POOL_MIN_ORDER else 0)
     if b == 0:
         return [partition(G, all_subgroups(G), *args, 0, 0)]
+    # imported here, so that in-process sweeps never load it (about 1 MB)
+    import multiprocessing
     tasks = [(partition, G.spec, args, b, p) for p in range(1 << b)]
     try:
         ctx = multiprocessing.get_context("fork")
@@ -214,6 +237,60 @@ class CensusReport:
         }
 
 
+def _prefilter_tables(G: GroupTable, w: int) -> list:
+    """``need[h][a]``: the chunk-0 values c0, as a bitset (bit c0), for
+    which a does not rule out a set A whose highest element is h.
+
+    a rules A out when a is in A and every element of inv(a)*A lies below
+    h.  This table covers the chunk-0 part of A, the elements that c0
+    marks: for a in chunk 0 it holds the c0 without a and the c0 that hold
+    some x with inv(a)*x >= h; for a in the high chunks it holds only the
+    latter.  Entries for h < w are never read.
+    """
+    n, mul, inv = G.order, G.mul, G.inv
+    full = (1 << (1 << w)) - 1
+    within = {}  # chunk mask T -> the c0 inside T
+
+    def inside(T):
+        bits = within.get(T)
+        if bits is None:
+            bits = 1
+            for j in range(w):
+                if T >> j & 1:
+                    bits |= bits << (1 << j)
+            within[T] = bits
+        return bits
+
+    need = [[0] * n for _ in range(n)]
+    for a in range(n):
+        ys = [mul[inv[a]][x] for x in range(w)]
+        # the c0 that lack a: none, when a is in a high chunk
+        lack = inside((1 << w) - 1 ^ 1 << a) if a < w else 0
+        for h in range(n):
+            below = sum(1 << x for x, y in enumerate(ys) if y < h)
+            need[h][a] = lack | full ^ inside(below)
+    return need
+
+
+def _block_survivors(cand: int, m1: int, r12: list, elems, need: list) -> int:
+    """The chunk-0 values in bitset ``cand`` that may make ``m1 | c0``
+    canonical, for a block whose high chunks ``m1`` are not empty.
+
+    Masks compare as integers, so a canonical A has max(inv(a)*A) >= h =
+    max(A) for every a in A, and in this block h is the top bit of m1.
+    inv(a)*A is ``r0[a] | r12[a]``: when ``r12[a]`` already reaches h, a
+    rules nothing out, and otherwise the chunk-0 part must, which
+    ``need[h][a]`` says for each c0.  ``elems`` holds the high elements of
+    A and every non-identity element of chunk 0.
+    """
+    h = m1.bit_length() - 1
+    top, row = 1 << h, need[h]
+    for a in elems:
+        if r12[a] < top:
+            cand &= row[a]
+    return cand
+
+
 def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
                      pattern: int, visited: list):
     """Yield ``(m, k, qmask, stab)`` for every canonical mask of a partition.
@@ -225,6 +302,11 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
     both feeds the minimality test and joins the quotient set, so ``qmask``
     is the quotient set of a canonical mask and ``stab`` the number of a
     with inv(a)*A = A.  The masks come in ascending order.
+
+    Before that test, each block whose high chunks are not empty drops, in
+    bulk, the masks that ``_block_survivors`` proves are not canonical:
+    about four in five at orders 16-18.  The translate loop still decides
+    every mask that survives.
     """
     t = G.action_tables()
     w, rows = t.width, t.rows
@@ -239,23 +321,30 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
         return [v for v in range(size) if v & f == base >> c * w & f]
 
     # A (c2, c1) block holds the masks m1 | c0 for every chunk-0 value c0;
-    # block0[s] lists the c0 that put a block whose high chunks hold s
-    # elements in the size range (every c0 for a full-range sweep).
+    # block0[s] is the bitset of the c0 that put a block whose high chunks
+    # hold s elements in the size range (every c0 for a full-range sweep).
     vals0 = values(0)
-    block0 = [[c0 for c0 in vals0 if lo <= s + c0.bit_count() <= hi]
+    block0 = [sum(1 << c0 for c0 in vals0 if lo <= s + c0.bit_count() <= hi)
               for s in range(2 * w + 1)]
+    need = _prefilter_tables(G, w)
+    ids0 = elems0[-1]
     count = 0
     for c2 in values(2):
         r2, e2, m2 = rows2[c2], elems2[c2], c2 << 2 * w
         for c1 in values(1):
             m1 = m2 | c1 << w
-            cs = block0[m1.bit_count()]
-            if not cs:
+            cand = block0[m1.bit_count()]
+            if not cand:
                 continue
-            count += len(cs)
+            count += cand.bit_count()
             # one merged row per block: a translate is r0[a] | r12[a]
             r12, e12 = list(map(or_, rows1[c1], r2)), elems1[c1] + e2
-            for c0 in cs:
+            if m1:
+                cand = _block_survivors(cand, m1, r12, e12 + ids0, need)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                c0 = low.bit_length() - 1
                 m = m1 | c0
                 r0 = rows0[c0]
                 qmask = m

@@ -9,6 +9,7 @@ import hashlib
 import importlib
 import json
 import math
+import multiprocessing
 import random
 
 import pytest
@@ -142,6 +143,45 @@ def test_sweep_kernel_matches_canonical_form(make_group, spec):
                            if sizes[0] <= row[0] <= sizes[1]}
     assert [m for m, *_ in _canonical_masks(G, lo, hi, 0, 0, [0])] == sorted(
         m for m, row in expected.items() if lo <= row[0] <= hi)
+
+
+@pytest.mark.parametrize("spec", catalog_specs(12) + ["cyclic 13", "cyclic 15",
+                                                     "dihedral 8"])
+def test_block_prefilter_drops_only_non_canonical_masks(make_group, spec):
+    # the kernel's bulk prefilter, block by block against canonical_form:
+    # every chunk-0 value it drops completes the block's high chunks to a
+    # non-canonical mask.  The merged high rows come from G.mul, not from
+    # the action tables.
+    G = make_group(spec)
+    n = G.order
+    w = G.action_tables().width
+    cm = (1 << w) - 1
+    need = census._prefilter_tables(G, w)
+    canonical = {m for m in range(1, 1 << n, 2)
+                 if canonical_form(G, ElemSet(n, m)).bits == m}
+    for width in range(min(3, n - 1) + 1):
+        dropped = 0
+        for pattern in range(1 << width):
+            blocks = {}
+            for m in range(1, 1 << n, 2):
+                if (m >> 1) % (1 << width) == pattern:
+                    blocks[m & ~cm] = blocks.get(m & ~cm, 0) | 1 << (m & cm)
+            for m1, cand in blocks.items():
+                if not m1:
+                    continue
+                high = [x for x in range(w, n) if m1 >> x & 1]
+                r12 = [sum(1 << G.mul[G.inv[a]][x] for x in high)
+                       for a in range(n)]
+                kept = census._block_survivors(cand, m1, r12,
+                                               high + list(range(1, w)), need)
+                assert kept & ~cand == 0
+                gone = cand & ~kept
+                assert not [c0 for c0 in range(cm + 1)
+                            if gone >> c0 & 1 and m1 | c0 in canonical]
+                dropped += gone.bit_count()
+        if spec == "dihedral 8":
+            # a filter that dropped nothing would pass the check above
+            assert 2 * dropped > 1 << n - 1, width
 
 
 def _burnside_orbit_counts(G):
@@ -338,12 +378,24 @@ def test_census_size_filter(s3):
         classification_census(s3, sizes=(4, 2))
 
 
-def test_census_is_deterministic_across_jobs(d6):
+def test_census_is_deterministic_across_jobs(d6, monkeypatch):
+    # sweep d6 in worker processes, although it is below the pool crossover
+    monkeypatch.setattr(census, "_POOL_MIN_ORDER", 1)
     base = classification_census(d6, jobs=1).to_dict()
     for jobs in (2, 3, 4):
         assert classification_census(d6, jobs=jobs).to_dict() == base
     assert json.dumps(classification_census(d6, jobs=4).to_dict(),
                       sort_keys=True) == json.dumps(base, sort_keys=True)
+
+
+def test_small_groups_sweep_in_process_at_every_job_count(d6, monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a worker pool was started")
+
+    assert d6.order < census._POOL_MIN_ORDER
+    base = classification_census(d6).to_dict()
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert classification_census(d6, jobs=4).to_dict() == base
 
 
 def test_census_rejects_bad_jobs(s3):
@@ -465,7 +517,9 @@ def test_memoised_rep_products_match_a_fresh_recomputation():
                 assert window is (sandwich.bit_count() == (2 * len(reps) - 1) * H.order)
 
 
-def test_scan_is_deterministic_across_jobs(c12):
+def test_scan_is_deterministic_across_jobs(c12, monkeypatch):
+    # sweep c12 in worker processes, although it is below the pool crossover
+    monkeypatch.setattr(census, "_POOL_MIN_ORDER", 1)
     base = structure_scan(c12, 2, jobs=1).to_dict()
     for jobs in (2, 4):
         assert structure_scan(c12, 2, jobs=jobs).to_dict() == base
