@@ -85,8 +85,9 @@ __all__ = [
 DEFAULT_CENSUS_CAP = 24
 
 #: No override reaches past this.  By extrapolation (no order-32 census has
-#: run), its 2^31 masks take about 15 minutes at jobs 2 at the ~2.45 M masks/s
-#: that the order-24 census-deep benchmark measures.
+#: run), its 2^31 masks take about 4-7 minutes at jobs 2 at the 5.5-8.5 M
+#: masks/s that the order-24 census-deep benchmark measures on a shared
+#: 2-core host (medians of two ten-run series).
 HARD_CENSUS_CAP = 32
 
 #: Groups below this order are swept in process at every job count: there a
@@ -247,28 +248,20 @@ def _prefilter_tables(G: GroupTable, w: int) -> list:
     some x with inv(a)*x >= h; for a in the high chunks it holds only the
     latter.  Entries for h < w are never read.
     """
-    n, mul, inv = G.order, G.mul, G.inv
-    full = (1 << (1 << w)) - 1
-    within = {}  # chunk mask T -> the c0 inside T
-
-    def inside(T):
-        bits = within.get(T)
-        if bits is None:
-            bits = 1
-            for j in range(w):
-                if T >> j & 1:
-                    bits |= bits << (1 << j)
-            within[T] = bits
-        return bits
-
+    n, mul = G.order, G.mul
+    size = 1 << w
+    full = (1 << size) - 1
+    lack = [sum(1 << c0 for c0 in range(size) if not c0 >> x & 1)
+            for x in range(w)]  # the c0 without x
     need = [[0] * n for _ in range(n)]
     for a in range(n):
-        ys = [mul[inv[a]][x] for x in range(w)]
-        # the c0 that lack a: none, when a is in a high chunk
-        lack = inside((1 << w) - 1 ^ 1 << a) if a < w else 0
+        low = lack[a] if a < w else 0
+        below = 1  # the c0 whose every x has inv(a)*x < h
         for h in range(n):
-            below = sum(1 << x for x, y in enumerate(ys) if y < h)
-            need[h][a] = lack | full ^ inside(below)
+            need[h][a] = low | full ^ below
+            x = mul[a][h]  # inv(a)*x = h
+            if x < w:
+                below |= below << (1 << x)
     return need
 
 
