@@ -85,9 +85,9 @@ __all__ = [
 DEFAULT_CENSUS_CAP = 24
 
 #: No override reaches past this.  By extrapolation (no order-32 census has
-#: run), its 2^31 masks take about 4-7 minutes at jobs 2 at the 5.5-8.5 M
+#: run), its 2^31 masks take about 4-10 minutes at jobs 2 at the 3.5-8.5 M
 #: masks/s that the order-24 census-deep benchmark measures on a shared
-#: 2-core host (medians of two ten-run series).
+#: 2-core host whose speed varies about 2x (medians of four ten-run series).
 HARD_CENSUS_CAP = 32
 
 #: Groups below this order are swept in process at every job count: there a
@@ -298,8 +298,10 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
 
     Before that test, each block whose high chunks are not empty drops, in
     bulk, the masks that ``_block_survivors`` proves are not canonical:
-    about four in five at orders 16-18.  The translate loop still decides
-    every mask that survives.
+    about four in five at orders 16-18.  A mask is dropped only when some a
+    in A puts every element of inv(a)*A below A's top element, and then
+    inv(a)*A < A.  The translate loop still decides every mask that
+    survives.
     """
     t = G.action_tables()
     w, rows = t.width, t.rows
