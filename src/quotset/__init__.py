@@ -15,10 +15,8 @@ from .census import (
     ScanReport,
     SizeRow,
     StructureWitness,
-    canonical_form,
     classification_census,
     find_structure_witness,
-    iter_canonical_sets,
     structure_scan,
 )
 from .classify import (
@@ -81,7 +79,6 @@ __all__ = [
     "Subgroup",
     "all_subgroups",
     "build_group",
-    "canonical_form",
     "catalog_specs",
     "check_coset_laws",
     "check_counting_bounds",
@@ -91,7 +88,6 @@ __all__ = [
     "construct_threshold_example",
     "ensure_subgroup",
     "find_structure_witness",
-    "iter_canonical_sets",
     "normalizer",
     "parse_set_literal",
     "parse_spec_lines",

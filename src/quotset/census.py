@@ -38,15 +38,19 @@ chunk-0 values, the values that do reach it or that leave a out of A.
 ANDing those bitsets leaves about one mask in five at orders 16-18, and the
 translate loop still decides each survivor.
 
-Multi-process sweeps partition the subsets by their membership pattern on
-the lowest non-identity ids and merge the partial reports in a fixed order,
-so the rendered output is identical for every job count.  Groups below
-``_POOL_MIN_ORDER`` are swept in process whatever the job count, because
-starting a worker pool costs more than their whole sweep.
+Multi-process sweeps partition the blocks by how many elements their two
+high chunks hold: partition ``part`` of ``parts`` takes the blocks whose
+count s has ``s % parts == part``, so each block's merged row and
+prefilter are built by one partition only.  The partial reports are merged
+in a fixed order, so the rendered output is identical for every job count.
+There is one partition per job, up to the machine's CPU count.  Groups
+below ``_POOL_MIN_ORDER`` are swept in process whatever the job count,
+because starting a worker pool costs more than their whole sweep.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from operator import or_
@@ -61,7 +65,7 @@ from .classify import (
 )
 from .groups import GroupTable, build_group
 from .reports import CheckItem, CheckReport
-from .setops import ElemSet, left_translate_mask, product_mask, quotient_mask
+from .setops import ElemSet, product_mask, quotient_mask
 from .subgroups import Subgroup, all_subgroups, left_cosets, normalizer
 
 __all__ = [
@@ -69,8 +73,6 @@ __all__ = [
     "HARD_CENSUS_CAP",
     "check_sweep_cap",
     "check_sizes",
-    "canonical_form",
-    "iter_canonical_sets",
     "CensusViolation",
     "SizeRow",
     "CensusReport",
@@ -98,16 +100,6 @@ HARD_CENSUS_CAP = 32
 _POOL_MIN_ORDER = 18
 
 
-def canonical_form(G: GroupTable, A: ElemSet) -> ElemSet:
-    """The least left translate of A containing the identity, as a bitmask."""
-    if A.n != G.order:
-        raise ValueError(f"set is over order {A.n}, group has order {G.order}")
-    amask = A.bits
-    if not amask:
-        raise ValueError("the empty set has no canonical form")
-    return ElemSet(G.order, min(left_translate_mask(G, G.inv[a], amask) for a in A))
-
-
 def check_sizes(G: GroupTable, sizes) -> tuple[int, int]:
     """The size range ``(lo, hi)`` a census of G would sweep.
 
@@ -120,60 +112,46 @@ def check_sizes(G: GroupTable, sizes) -> tuple[int, int]:
     return lo, hi
 
 
-def iter_canonical_sets(G: GroupTable, sizes=None):
-    """Yield the canonical representative of every translation orbit, ascending,
-    by testing each mask with ``canonical_form``: a check for the sweep kernel,
-    ``_canonical_masks``, that shares none of its code."""
-    lo, hi = check_sizes(G, sizes)
-    for m in range(1, 1 << G.order, 2):
-        A = ElemSet(G.order, m)
-        if lo <= A.size <= hi and canonical_form(G, A).bits == m:
-            yield A
-
-
-def check_sweep_cap(order: int, cap: int | None, allow_big: bool) -> None:
-    """Raise ValueError if the sweeps would refuse a group of this order
-    under these caps."""
-    if cap is None:
-        cap = DEFAULT_CENSUS_CAP
+def check_sweep_cap(order: int, allow_big: bool) -> None:
+    """Raise ValueError if the sweeps would refuse a group of this order."""
     if order > HARD_CENSUS_CAP:
         raise ValueError(
             f"order {order} exceeds the hard sweep cap {HARD_CENSUS_CAP}")
-    if order > cap and not allow_big:
+    if order > DEFAULT_CENSUS_CAP and not allow_big:
         raise ValueError(
-            f"order {order} exceeds the sweep cap {cap}; "
+            f"order {order} exceeds the sweep cap {DEFAULT_CENSUS_CAP}; "
             "pass allow_big=True (CLI: --i-know-this-is-big) to proceed anyway")
 
 
 def _sweep_partitions(G: GroupTable, jobs: int, partition, *args) -> list:
-    """``partition(G, subgroups, *args, fixed_width, pattern)`` for every
-    partition of the masks, in partition order.
+    """``partition(G, subgroups, *args, part, parts)`` for every partition
+    of the masks, in partition order.
 
-    With more than one job, and a group of order at least
-    ``_POOL_MIN_ORDER``, each partition runs in a worker process, which
-    rebuilds the group from its spec.
+    There is one partition per job, but no more than the machine has CPUs.
+    With more than one, and a group of order at least ``_POOL_MIN_ORDER``,
+    each partition runs in a worker process, which rebuilds the group from
+    its spec.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    b = (min((jobs - 1).bit_length(), G.order - 1)
-         if G.order >= _POOL_MIN_ORDER else 0)
-    if b == 0:
-        return [partition(G, all_subgroups(G), *args, 0, 0)]
+    parts = min(jobs, os.cpu_count() or 1) if G.order >= _POOL_MIN_ORDER else 1
+    if parts == 1:
+        return [partition(G, all_subgroups(G), *args, 0, 1)]
     # imported here, so that in-process sweeps never load it (about 1 MB)
     import multiprocessing
-    tasks = [(partition, G.spec, args, b, p) for p in range(1 << b)]
+    tasks = [(partition, G.spec, args, part, parts) for part in range(parts)]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
+    with ctx.Pool(processes=parts) as pool:
         return pool.map(_partition_task, tasks)
 
 
 def _partition_task(task):
-    partition, spec, args, fixed_width, pattern = task
+    partition, spec, args, part, parts = task
     G = build_group(spec)
-    return partition(G, all_subgroups(G), *args, fixed_width, pattern)
+    return partition(G, all_subgroups(G), *args, part, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +262,18 @@ def _block_survivors(cand: int, m1: int, r12: list, elems, need: list) -> int:
     return cand
 
 
-def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
-                     pattern: int, visited: list):
+def _canonical_masks(G: GroupTable, lo: int, hi: int, part: int, parts: int,
+                     visited: list):
     """Yield ``(m, k, qmask, stab)`` for every canonical mask of a partition.
 
-    The partition holds the masks with the identity bit set and the next
-    ``fixed_width`` bits equal to ``pattern``; only sizes k in lo..hi are
-    visited, and once the generator is exhausted ``visited[0]`` has grown by
-    the number of masks visited.  Every left translate inv(a)*A for a in A
-    both feeds the minimality test and joins the quotient set, so ``qmask``
-    is the quotient set of a canonical mask and ``stab`` the number of a
-    with inv(a)*A = A.  The masks come in ascending order.
+    The partition holds the masks with the identity bit set whose two high
+    chunks hold s elements with ``s % parts == part``; only sizes k in
+    lo..hi are visited, and once the generator is exhausted ``visited[0]``
+    has grown by the number of masks visited.  Every left translate
+    inv(a)*A for a in A both feeds the minimality test and joins the
+    quotient set, so ``qmask`` is the quotient set of a canonical mask and
+    ``stab`` the number of a with inv(a)*A = A.  The masks come in
+    ascending order.
 
     Before that test, each block whose high chunks are not empty drops, in
     bulk, the masks that ``_block_survivors`` proves are not canonical:
@@ -306,27 +285,20 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
     t = G.action_tables()
     w, rows = t.width, t.rows
     (rows0, rows1, rows2), (elems0, elems1, elems2) = rows, t.elems
-    fixed = (1 << 1 + fixed_width) - 1
-    base = 1 | pattern << 1
 
-    def values(c):
-        # the values of chunk c that agree with the partition's fixed bits
-        size = len(rows[c])
-        f = fixed >> c * w & size - 1
-        return [v for v in range(size) if v & f == base >> c * w & f]
-
-    # A (c2, c1) block holds the masks m1 | c0 for every chunk-0 value c0;
-    # block0[s] is the bitset of the c0 that put a block whose high chunks
-    # hold s elements in the size range (every c0 for a full-range sweep).
-    vals0 = values(0)
-    block0 = [sum(1 << c0 for c0 in vals0 if lo <= s + c0.bit_count() <= hi)
+    # A (c2, c1) block holds the masks m1 | c0 for every odd chunk-0 value
+    # c0 (every mask holds the identity); block0[s] is the bitset of the c0
+    # that put a block whose high chunks hold s elements in the size range,
+    # and 0 for a block of another partition.
+    block0 = [sum(1 << c0 for c0 in range(1, len(rows0), 2)
+                  if lo <= s + c0.bit_count() <= hi) if s % parts == part else 0
               for s in range(2 * w + 1)]
     need = _prefilter_tables(G, w)
     ids0 = elems0[-1]
     count = 0
-    for c2 in values(2):
+    for c2 in range(len(rows2)):
         r2, e2, m2 = rows2[c2], elems2[c2], c2 << 2 * w
-        for c1 in values(1):
+        for c1 in range(len(rows1)):
             m1 = m2 | c1 << w
             cand = block0[m1.bit_count()]
             if not cand:
@@ -368,8 +340,8 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, fixed_width: int,
     visited[0] += count
 
 
-def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
-    """Sweep the subsets whose low non-identity bits equal ``pattern``."""
+def _census_partition(G: GroupTable, subgroups, lo, hi, part, parts):
+    """Sweep the subsets of partition ``part`` of ``parts``."""
     order = G.order
     # picture candidates, for the sizes that have any
     cands = {k: c for k in range(lo, hi + 1)
@@ -380,8 +352,7 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
     violations = []
     best: dict[int, list] = {}
 
-    for m, k, qmask, stab in _canonical_masks(G, lo, hi, fixed_width, pattern,
-                                               scanned):
+    for m, k, qmask, stab in _canonical_masks(G, lo, hi, part, parts, scanned):
         classes += 1
         qk = qmask.bit_count()
 
@@ -426,7 +397,6 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, fixed_width, pattern):
 
 
 def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
-                          cap: int | None = None,
                           allow_big: bool = False) -> CensusReport:
     """Sweep every subset in the size range and re-derive the classification.
 
@@ -438,7 +408,7 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
     quotient set.
     """
     start = time.perf_counter()
-    check_sweep_cap(G.order, cap, allow_big)
+    check_sweep_cap(G.order, allow_big)
     lo, hi = check_sizes(G, sizes)
     partials = _sweep_partitions(G, jobs, _census_partition, lo, hi)
 
@@ -691,7 +661,7 @@ class ScanReport:
         }
 
 
-def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
+def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
     order = G.order
     n = max_reps
 
@@ -714,8 +684,7 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
     counterexamples = []
     suff_failures = []
 
-    for m, k, qmask, _ in _canonical_masks(G, 1, order, fixed_width, pattern,
-                                            scanned):
+    for m, k, qmask, _ in _canonical_masks(G, 1, order, part, parts, scanned):
         classes += 1
         qk = qmask.bit_count()
 
@@ -743,7 +712,7 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, fixed_width, pattern):
 
 
 def structure_scan(G: GroupTable, max_reps: int, jobs: int = 1,
-                   cap: int | None = None, allow_big: bool = False) -> ScanReport:
+                   allow_big: bool = False) -> ScanReport:
     """Sweep every subset of the group for bounded-representative structure.
 
     Each canonical set whose quotient set is in range — meaning
@@ -754,7 +723,7 @@ def structure_scan(G: GroupTable, max_reps: int, jobs: int = 1,
     is exercised on the same sweep.
     """
     start = time.perf_counter()
-    check_sweep_cap(G.order, cap, allow_big)
+    check_sweep_cap(G.order, allow_big)
     if max_reps < 1:
         raise ValueError(f"max_reps must be at least 1, got {max_reps}")
     partials = _sweep_partitions(G, jobs, _scan_partition, max_reps)

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
 from .census import (
-    DEFAULT_CENSUS_CAP,
     check_sizes,
     check_sweep_cap,
     classification_census,
@@ -45,9 +43,6 @@ from .setops import ElemSet, check_counting_bounds, parse_set_literal
 from .subgroups import all_subgroups, check_coset_laws, ensure_subgroup
 
 __all__ = ["main"]
-
-CAP_ENV_VAR = "QUOTSET_CENSUS_CAP"
-
 
 def _sizes_arg(text: str) -> tuple[int, int]:
     try:
@@ -142,16 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _census_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CENSUS_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
-
-
 def _catalog(max_order: int) -> list[tuple[int, str]]:
     """The catalog up to ``max_order``, refused past ``build_group``'s cap."""
     if max_order > DEFAULT_ORDER_CAP:
@@ -160,7 +145,7 @@ def _catalog(max_order: int) -> list[tuple[int, str]]:
     return catalog_entries(max_order)
 
 
-def _sweep_groups(args, cap: int, sizes=None) -> list[GroupTable]:
+def _sweep_groups(args, sizes=None) -> list[GroupTable]:
     """Build every selected group and check it against the caps and any
     ``--sizes`` range before any sweep runs, so a group that would fail
     fails the command up front.  Catalog groups are checked against the
@@ -175,11 +160,11 @@ def _sweep_groups(args, cap: int, sizes=None) -> list[GroupTable]:
     else:
         entries = _catalog(args.max_order)
         for order, _ in entries:
-            check_sweep_cap(order, cap, args.allow_big)
+            check_sweep_cap(order, args.allow_big)
         specs = [spec for _, spec in entries]
     groups = [build_group(spec) for spec in specs]
     for G in groups:
-        check_sweep_cap(G.order, cap, args.allow_big)
+        check_sweep_cap(G.order, args.allow_big)
         check_sizes(G, sizes)
     return groups
 
@@ -230,14 +215,13 @@ def _run_classify(args):
 
 
 def _run_census(args):
-    cap = _census_cap()
     findings = []
     reports = []
-    groups = _sweep_groups(args, cap, args.sizes)
+    groups = _sweep_groups(args, args.sizes)
     while groups:
         G = groups.pop(0)  # a swept group's caches are freed with it
         report = classification_census(G, sizes=args.sizes, jobs=args.jobs,
-                                       cap=cap, allow_big=args.allow_big)
+                                       allow_big=args.allow_big)
         print(f"census {G.spec}: {report.subsets_scanned} subsets in "
               f"{report.runtime_seconds:.2f}s", file=sys.stderr)
         reports.append(report.to_dict())
@@ -248,14 +232,13 @@ def _run_census(args):
 
 
 def _run_conjecture_scan(args):
-    cap = _census_cap()
     findings = []
     reports = []
-    groups = _sweep_groups(args, cap)
+    groups = _sweep_groups(args)
     while groups:
         G = groups.pop(0)  # a swept group's caches are freed with it
         report = structure_scan(G, args.n, jobs=args.jobs,
-                                cap=cap, allow_big=args.allow_big)
+                                allow_big=args.allow_big)
         print(f"conjecture-scan {G.spec}: {report.subsets_scanned} subsets in "
               f"{report.runtime_seconds:.2f}s", file=sys.stderr)
         reports.append(report.to_dict())

@@ -109,6 +109,8 @@ def naive_subgroups(G):
 
 def naive_canonical(G, A):
     """Smallest-bitmask left translate of A among those containing the identity."""
+    if not A:
+        raise ValueError("the empty set has no canonical form")
     best = None
     for a in A:
         ainv = G.inv[a]
@@ -118,6 +120,18 @@ def naive_canonical(G, A):
         if best is None or key < best:
             best = key
     return frozenset(x for x in range(G.order) if best >> x & 1)
+
+
+def naive_canonical_masks(G, sizes=None):
+    """The canonical sets with sizes in ``sizes`` (lo, hi; default all), as
+    ascending bitmasks: one per left-translation orbit, each the
+    ``naive_canonical`` of itself."""
+    n = G.order
+    lo, hi = sizes or (1, n)
+    for bits in range(1, 1 << n, 2):
+        A = frozenset(x for x in range(n) if bits >> x & 1)
+        if lo <= len(A) <= hi and naive_canonical(G, A) == A:
+            yield bits
 
 
 def naive_min_quotients(G):

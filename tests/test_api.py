@@ -31,7 +31,6 @@ PACKAGE_EXPORTS = [
     "Subgroup",
     "all_subgroups",
     "build_group",
-    "canonical_form",
     "catalog_specs",
     "check_coset_laws",
     "check_counting_bounds",
@@ -41,7 +40,6 @@ PACKAGE_EXPORTS = [
     "construct_threshold_example",
     "ensure_subgroup",
     "find_structure_witness",
-    "iter_canonical_sets",
     "normalizer",
     "parse_set_literal",
     "parse_spec_lines",

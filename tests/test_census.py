@@ -10,6 +10,7 @@ import importlib
 import json
 import math
 import multiprocessing
+import os
 import random
 
 import pytest
@@ -20,17 +21,14 @@ from quotset.census import (
     _canonical_masks,
     _sandwich,
     _structure_hypotheses_exist,
-    canonical_form,
     classification_census,
     find_structure_witness,
-    iter_canonical_sets,
     structure_scan,
 )
 from quotset.classify import ClassKind, _coset_picture, _picture_candidates, classify
 from quotset.groups import build_group, catalog_specs
 from quotset.setops import (
     ElemSet,
-    left_translate_mask,
     product_mask,
     quotient_mask,
     quotient_set,
@@ -39,6 +37,7 @@ from quotset.subgroups import all_subgroups, ensure_subgroup, left_cosets, norma
 
 from oracles import (
     naive_canonical,
+    naive_canonical_masks,
     naive_double_coset,
     naive_min_quotients,
     naive_quotient,
@@ -54,117 +53,129 @@ classify_module = importlib.import_module("quotset.classify")
 # === canonical forms ===
 
 
-def test_canonical_form_matches_oracle(make_group):
-    rng = random.Random(0xCA7)
-    specs = catalog_specs(12)
-    for _ in range(200):
-        G = make_group(rng.choice(specs))
-        A = random_subset(rng, G.order)
-        got = canonical_form(G, ElemSet.from_elements(G.order, A))
-        assert set(got) == naive_canonical(G, A)
+def canonical_sets(G, sizes=None):
+    """The oracle's canonical sets, as the ElemSets the package takes."""
+    return [ElemSet(G.order, m) for m in naive_canonical_masks(G, sizes)]
 
 
 def test_canonical_form_properties(make_group):
+    # the oracle's canonical form holds the identity, is its own canonical
+    # form, is shared by every translate and keeps the quotient set
     rng = random.Random(0x1DE)
     G = make_group("dihedral 6")
     for _ in range(80):
-        A = ElemSet.from_elements(12, random_subset(rng, 12))
-        c = canonical_form(G, A)
+        A = random_subset(rng, 12)
+        c = naive_canonical(G, A)
         assert 0 in c
-        assert canonical_form(G, c) == c
+        assert naive_canonical(G, c) == c
         g = rng.randrange(12)
-        translated = ElemSet(12, left_translate_mask(G, g, A.bits))
-        assert canonical_form(G, translated) == c
-        assert quotient_set(G, c) == quotient_set(G, A)
+        assert naive_canonical(G, {G.mul[g][x] for x in A}) == c
+        assert naive_quotient(G, c) == naive_quotient(G, A)
 
 
 def test_canonical_form_rejects_empty(c8):
     with pytest.raises(ValueError):
-        canonical_form(c8, ElemSet(8))
+        naive_canonical(c8, set())
 
 
 def test_iter_canonical_sets_counts(s3, d4, c8):
-    assert sum(1 for _ in iter_canonical_sets(s3)) == 15
-    assert sum(1 for _ in iter_canonical_sets(d4)) == 42
-    assert sum(1 for _ in iter_canonical_sets(c8)) == 35
+    assert len(canonical_sets(s3)) == 15
+    assert len(canonical_sets(d4)) == 42
+    assert len(canonical_sets(c8)) == 35
 
 
 def test_iter_canonical_sets_yields_canonical_reps(s3):
     seen = set()
-    for A in iter_canonical_sets(s3):
+    for A in canonical_sets(s3):
         assert 0 in A
-        assert canonical_form(s3, A) == A
+        assert naive_canonical(s3, set(A)) == set(A)
         assert A.bits not in seen
         seen.add(A.bits)
 
 
 def test_iter_canonical_sets_respects_size_filter(d4):
-    got = list(iter_canonical_sets(d4, sizes=(3, 4)))
+    got = canonical_sets(d4, sizes=(3, 4))
     assert all(3 <= A.size <= 4 for A in got)
-    full = [A for A in iter_canonical_sets(d4) if 3 <= A.size <= 4]
+    full = [A for A in canonical_sets(d4) if 3 <= A.size <= 4]
     assert got == full
 
 
 # === the sweep kernel ===
 
 
+# the partition counts the kernel tests run; at orders 1-4 the high chunks
+# hold at most two elements, so partitions 3 and 4 of 5 are empty
+PARTS = (1, 2, 3, 5)
+
+
+def _in_partition(G, m, part, parts):
+    # the kernel's partition rule, read off the mask: the elements of its two
+    # high chunks, counted mod parts
+    return (m >> G.action_tables().width).bit_count() % parts == part
+
+
 @pytest.mark.parametrize("spec", catalog_specs(12) + ["cyclic 13", "cyclic 15",
                                                      "dihedral 8"])
 def test_sweep_kernel_matches_canonical_form(make_group, spec):
-    # every partition width the sweeps use up to 8 partitions; orders 1-4
-    # leave some of the kernel's three chunks empty.  At orders 15 and 16
-    # (chunks of 5 and 6 bits) the middle size range holds blocks whose
-    # chunk-0 values all fit it and blocks that straddle one of its ends.
+    # every partition of 1, 2, 3 and 5 parts; orders 1-4 leave some of the
+    # kernel's three chunks empty.  At orders 15 and 16 (chunks of 5 and 6
+    # bits) the middle size range holds blocks whose chunk-0 values all fit
+    # it and blocks that straddle one of its ends.
     G = make_group(spec)
     n = G.order
     expected = {}
-    for m in range(1, 1 << n, 2):
-        A = ElemSet(n, m)
-        if canonical_form(G, A).bits == m:
-            stab = sum(1 for a in A
-                       if {G.mul[G.inv[a]][x] for x in A} == set(A))
-            expected[m] = (m.bit_count(), quotient_mask(G, m), stab)
+    for m in naive_canonical_masks(G):
+        A = [x for x in range(n) if m >> x & 1]
+        stab = sum(1 for a in A
+                   if {G.mul[G.inv[a]][x] for x in A} == set(A))
+        expected[m] = (len(A), quotient_mask(G, m), stab)
     lo, hi = (n + 1) // 3, (2 * n + 2) // 3
     for sizes in ((1, n), (lo, hi)):
-        for width in range(min(3, n - 1) + 1):
+        for parts in PARTS:
             got = {}
-            for pattern in range(1 << width):
+            empty = 0
+            for part in range(parts):
                 visited = [0]
-                for m, k, qmask, stab in _canonical_masks(G, *sizes, width,
-                                                          pattern, visited):
+                yielded = 0
+                for m, k, qmask, stab in _canonical_masks(G, *sizes, part,
+                                                          parts, visited):
                     assert m not in got
+                    assert _in_partition(G, m, part, parts)
                     got[m] = (k, qmask, stab)
+                    yielded += 1
                 # every mask of the partition in the size range, counted
                 assert visited[0] == sum(
                     1 for m in range(1, 1 << n, 2)
-                    if (m >> 1) % (1 << width) == pattern
+                    if _in_partition(G, m, part, parts)
                     and sizes[0] <= m.bit_count() <= sizes[1])
+                empty += not yielded and not visited[0]
             assert got == {m: row for m, row in expected.items()
                            if sizes[0] <= row[0] <= sizes[1]}
-    assert [m for m, *_ in _canonical_masks(G, lo, hi, 0, 0, [0])] == sorted(
+            if parts == 5 and n <= 4:
+                assert empty >= 2, (sizes, parts)
+    assert [m for m, *_ in _canonical_masks(G, lo, hi, 0, 1, [0])] == sorted(
         m for m, row in expected.items() if lo <= row[0] <= hi)
 
 
 @pytest.mark.parametrize("spec", catalog_specs(12) + ["cyclic 13", "cyclic 15",
                                                      "dihedral 8"])
 def test_block_prefilter_drops_only_non_canonical_masks(make_group, spec):
-    # the kernel's bulk prefilter, block by block against canonical_form:
-    # every chunk-0 value it drops completes the block's high chunks to a
-    # non-canonical mask.  The merged high rows come from G.mul, not from
-    # the action tables.
+    # the kernel's bulk prefilter, block by block against the oracle's
+    # canonical sets: every chunk-0 value it drops completes the block's
+    # high chunks to a non-canonical mask.  The merged high rows come from
+    # G.mul, not from the action tables.
     G = make_group(spec)
     n = G.order
     w = G.action_tables().width
     cm = (1 << w) - 1
     need = census._prefilter_tables(G, w)
-    canonical = {m for m in range(1, 1 << n, 2)
-                 if canonical_form(G, ElemSet(n, m)).bits == m}
-    for width in range(min(3, n - 1) + 1):
+    canonical = set(naive_canonical_masks(G))
+    for parts in PARTS:
         dropped = 0
-        for pattern in range(1 << width):
+        for part in range(parts):
             blocks = {}
             for m in range(1, 1 << n, 2):
-                if (m >> 1) % (1 << width) == pattern:
+                if _in_partition(G, m, part, parts):
                     blocks[m & ~cm] = blocks.get(m & ~cm, 0) | 1 << (m & cm)
             for m1, cand in blocks.items():
                 if not m1:
@@ -181,7 +192,7 @@ def test_block_prefilter_drops_only_non_canonical_masks(make_group, spec):
                 dropped += gone.bit_count()
         if spec == "dihedral 8":
             # a filter that dropped nothing would pass the check above
-            assert 2 * dropped > 1 << n - 1, width
+            assert 2 * dropped > 1 << n - 1, parts
 
 
 def _burnside_orbit_counts(G):
@@ -211,12 +222,12 @@ def test_canonical_classes_match_burnside(make_group, spec):
     # reports their sum
     G = make_group(spec)
     expected = _burnside_orbit_counts(G)
-    for width in sorted({0, min(2, G.order - 1)}):
+    for parts in PARTS:
         got = dict.fromkeys(expected, 0)
-        for pattern in range(1 << width):
-            for _, k, _, _ in _canonical_masks(G, 1, G.order, width, pattern, [0]):
+        for part in range(parts):
+            for _, k, _, _ in _canonical_masks(G, 1, G.order, part, parts, [0]):
                 got[k] += 1
-        assert got == expected, width
+        assert got == expected, parts
     assert classification_census(G).canonical_classes == sum(expected.values())
 
 
@@ -254,7 +265,7 @@ def test_classify_candidates_pick_the_same_picture(make_group):
     for spec in catalog_specs(12):
         G = make_group(spec)
         subgroups = all_subgroups(G)
-        for m, k, qmask, _ in _canonical_masks(G, 1, G.order, 0, 0, [0]):
+        for m, k, qmask, _ in _canonical_masks(G, 1, G.order, 0, 1, [0]):
             picture = _coset_picture(G, m, *_picture_candidates(G, subgroups, k))
             assert picture == _naive_picture(G, m, subgroups)
             if 3 * qmask.bit_count() < 5 * k:
@@ -335,7 +346,7 @@ def test_census_reports_the_structure_clauses_that_fail(monkeypatch, make_group,
 
     monkeypatch.setattr(census, "_coset_picture", whole_group)
     expected = []
-    for A in iter_canonical_sets(G):
+    for A in canonical_sets(G):
         r = classify(G, A)
         if r.kind is ClassKind.SINGLE_COSET and r.subgroup.order < G.order:
             failing = [name for name, ok in (
@@ -379,8 +390,10 @@ def test_census_size_filter(s3):
 
 
 def test_census_is_deterministic_across_jobs(d6, monkeypatch):
-    # sweep d6 in worker processes, although it is below the pool crossover
+    # sweep d6 in 2-, 3- and 4-part worker pools, although it is below the
+    # pool crossover and the machine may have fewer CPUs
     monkeypatch.setattr(census, "_POOL_MIN_ORDER", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     base = classification_census(d6, jobs=1).to_dict()
     for jobs in (2, 3, 4):
         assert classification_census(d6, jobs=jobs).to_dict() == base
@@ -398,6 +411,59 @@ def test_small_groups_sweep_in_process_at_every_job_count(d6, monkeypatch):
     assert classification_census(d6, jobs=4).to_dict() == base
 
 
+class _RecordingContext:
+    """A multiprocessing context whose pools record their size and run
+    their tasks in this process, so no process is started."""
+
+    def __init__(self):
+        self.processes = []
+
+    def Pool(self, processes):
+        self.processes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, tasks):
+        return list(map(func, tasks))
+
+
+@pytest.mark.parametrize("cpus, jobs, processes", [
+    (2, 100_000, 2), (4, 3, 3), (4, 100_000, 4), (1, 8, None), (None, 8, None)])
+def test_worker_pool_is_bounded_by_the_cpu_count(make_group, monkeypatch,
+                                                  cpus, jobs, processes):
+    # a sweep runs min(jobs, CPUs) partitions, and in process when that is
+    # one or the CPU count is unknown
+    G = make_group("cyclic 18")
+    assert G.order >= census._POOL_MIN_ORDER
+    base = classification_census(G, sizes=(1, 3)).to_dict()
+    ctx = _RecordingContext()
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    assert classification_census(G, sizes=(1, 3), jobs=jobs).to_dict() == base
+    assert ctx.processes == ([] if processes is None else [processes])
+
+
+def test_two_partitions_split_the_work_evenly(make_group):
+    # at 2 parts each order-16 group's canonical classes split within 10%
+    # and its in-range sets at n = 2 (3|Q| < 5|A|) within 15%
+    for spec in catalog_specs(16):
+        G = make_group(spec)
+        if G.order != 16:
+            continue
+        classes, in_range = [0, 0], [0, 0]
+        for part in (0, 1):
+            for _, k, qmask, _ in _canonical_masks(G, 1, 16, part, 2, [0]):
+                classes[part] += 1
+                in_range[part] += 3 * qmask.bit_count() < 5 * k
+        assert max(classes) <= 1.10 * min(classes), (spec, classes)
+        assert max(in_range) <= 1.15 * min(in_range), (spec, in_range)
+
+
 def test_census_rejects_bad_jobs(s3):
     with pytest.raises(ValueError):
         classification_census(s3, jobs=0)
@@ -413,14 +479,10 @@ def test_census_order_caps():
     G25 = build_group("cyclic 25")
     with pytest.raises(ValueError, match="allow_big"):
         classification_census(G25)
+    assert classification_census(G25, sizes=(1, 2), allow_big=True).ok
     G33 = build_group("cyclic 33")
     with pytest.raises(ValueError, match="hard"):
         classification_census(G33, allow_big=True)
-    # a lowered cap is overridable per call
-    G12 = build_group("cyclic 12")
-    with pytest.raises(ValueError, match="cap"):
-        classification_census(G12, cap=8)
-    assert classification_census(G12, cap=8, allow_big=True).ok
     assert DEFAULT_CENSUS_CAP == 24 and HARD_CENSUS_CAP == 32
 
 
@@ -453,7 +515,7 @@ def test_scan_in_range_count_matches_brute_force(s3):
     # independent recount of the density condition over canonical classes
     for n in (1, 2):
         expected = 0
-        for A in iter_canonical_sets(s3):
+        for A in canonical_sets(s3):
             q = len(naive_quotient(s3, set(A)))
             if (n + 1) * q < (2 * n + 1) * A.size:
                 expected += 1
@@ -466,7 +528,7 @@ def _unpruned_scan_counts(G, n):
     cands = [(H, left_cosets(G, H)) for H in all_subgroups(G)]
     in_range = witnesses = checked = 0
     counterexamples, failures = [], []
-    for A in iter_canonical_sets(G):
+    for A in canonical_sets(G):
         k, qk = A.size, quotient_mask(G, A.bits).bit_count()
         hit = (n + 1) * qk < (2 * n + 1) * k
         if hit:
@@ -518,8 +580,10 @@ def test_memoised_rep_products_match_a_fresh_recomputation():
 
 
 def test_scan_is_deterministic_across_jobs(c12, monkeypatch):
-    # sweep c12 in worker processes, although it is below the pool crossover
+    # sweep c12 in 2- and 4-part worker pools, although it is below the pool
+    # crossover and the machine may have fewer CPUs
     monkeypatch.setattr(census, "_POOL_MIN_ORDER", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     base = structure_scan(c12, 2, jobs=1).to_dict()
     for jobs in (2, 4):
         assert structure_scan(c12, 2, jobs=jobs).to_dict() == base
@@ -585,7 +649,7 @@ def test_witness_reports_match_golden_digest():
     for spec in catalog_specs(10):
         G = build_group(spec)
         for n in (1, 2, 3):
-            for A in iter_canonical_sets(G):
+            for A in canonical_sets(G):
                 w = find_structure_witness(G, A, n)
                 record = [spec, n, list(A)]
                 record += ([None] if w is None else
@@ -598,7 +662,7 @@ def test_witness_reports_match_golden_digest():
 def test_witness_scan_agreement(s3):
     # every in-range canonical class yields a witness through the same entry
     # point the scan uses
-    for A in iter_canonical_sets(s3):
+    for A in canonical_sets(s3):
         q = quotient_set(s3, A).size
         for n in (1, 2):
             w = find_structure_witness(s3, A, n)

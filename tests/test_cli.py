@@ -11,7 +11,7 @@ import json
 import pytest
 
 from quotset import cli
-from quotset.cli import CAP_ENV_VAR, main
+from quotset.cli import main
 from quotset.groups import build_group, catalog_specs
 
 
@@ -160,35 +160,30 @@ def test_census_groups_file_errors(capsys, tmp_path):
     assert "no group specs found" in err
 
 
-def test_census_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv(CAP_ENV_VAR, "8")
-    argv = ["census", "--group", "cyclic 12", "--sizes", "2..2"]
-    code, _, err = run(capsys, argv)
-    assert code == 2
-    assert "error:" in err
-    code, out, _ = run(capsys, argv + ["--i-know-this-is-big"])
-    assert code == 0
-    assert "violations: 0" in out
-
-
-def test_cap_error_names_the_cli_flag(capsys, monkeypatch):
-    monkeypatch.setenv(CAP_ENV_VAR, "8")
-    code, out, err = run(capsys, ["conjecture-scan", "--group", "cyclic 12",
+def test_cap_error_names_the_cli_flag(capsys):
+    code, out, err = run(capsys, ["conjecture-scan", "--group", "cyclic 25",
                                   "--n", "1"])
     assert code == 2
     assert out == ""
     assert "--i-know-this-is-big" in err
+    # and the flag it names lifts the cap
+    code, out, _ = run(capsys, ["census", "--group", "cyclic 25", "--sizes",
+                                "1..2", "--i-know-this-is-big"])
+    assert code == 0
+    assert "violations: 0" in out
 
 
 @pytest.mark.parametrize("verb", [["census"], ["conjecture-scan", "--n", "1"]])
-def test_multi_group_sweep_checks_caps_before_sweeping(capsys, monkeypatch, verb):
-    # every catalog group of order <= 8 is built and checked before the first
-    # sweep, so the groups of order 7 and 8 stop the command before any runs
-    monkeypatch.setenv(CAP_ENV_VAR, "6")
-    code, out, err = run(capsys, [verb[0], "--max-order", "8", *verb[1:]])
+def test_multi_group_sweep_checks_caps_before_sweeping(capsys, tmp_path, verb):
+    # every listed group is built and checked before the first sweep, so
+    # the last one, of order 25, stops the command before any runs
+    listing = tmp_path / "groups.txt"
+    listing.write_text("cyclic 5\nsymmetric 3\ncyclic 25\n")
+    code, out, err = run(capsys, [verb[0], "--groups-file", str(listing),
+                                  *verb[1:]])
     assert code == 2
     assert out == ""
-    assert "exceeds the sweep cap 6" in err
+    assert "order 25 exceeds the sweep cap 24" in err
     assert f"{verb[0]} " not in err  # no per-group progress line
 
 
@@ -205,7 +200,6 @@ def test_catalog_sweep_checks_orders_before_building_groups(
     def build_group(spec):
         raise AssertionError(f"built {spec}")
 
-    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
     monkeypatch.setattr(cli, "build_group", build_group)
     code, out, err = run(capsys, [verb[0], *extra, *verb[1:]])
     assert code == 2
@@ -223,13 +217,6 @@ def test_sizes_range_is_checked_for_every_group_before_sweeping(capsys, tmp_path
     assert out == ""
     assert "1 <= lo <= hi <= 4" in err
     assert "census " not in err  # no per-group progress line
-
-
-def test_census_cap_env_var_must_be_numeric(capsys, monkeypatch):
-    monkeypatch.setenv(CAP_ENV_VAR, "soon")
-    code, _, err = run(capsys, ["census", "--group", "cyclic 6"])
-    assert code == 2
-    assert "must be an integer" in err
 
 
 # === conjecture-scan ===
