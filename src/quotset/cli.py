@@ -44,6 +44,7 @@ from .subgroups import all_subgroups, check_coset_laws, ensure_subgroup
 
 __all__ = ["main"]
 
+
 def _sizes_arg(text: str) -> tuple[int, int]:
     try:
         if ".." in text:

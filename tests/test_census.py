@@ -411,25 +411,8 @@ def test_small_groups_sweep_in_process_at_every_job_count(d6, monkeypatch):
     assert classification_census(d6, jobs=4).to_dict() == base
 
 
-class _RecordingContext:
-    """A multiprocessing context whose pools record their size and run
-    their tasks in this process, so no process is started."""
-
-    def __init__(self):
-        self.processes = []
-
-    def Pool(self, processes):
-        self.processes.append(processes)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, tasks):
-        return list(map(func, tasks))
+class _PoolRequested(Exception):
+    pass
 
 
 @pytest.mark.parametrize("cpus, jobs, processes", [
@@ -437,15 +420,26 @@ class _RecordingContext:
 def test_worker_pool_is_bounded_by_the_cpu_count(make_group, monkeypatch,
                                                   cpus, jobs, processes):
     # a sweep runs min(jobs, CPUs) partitions, and in process when that is
-    # one or the CPU count is unknown
+    # one or the CPU count is unknown.  The patched context notes the pool
+    # size the sweep asks for and stops it there, so no process starts.
+    requested = []
+
+    class Context:
+        def Pool(self, processes):
+            requested.append(processes)
+            raise _PoolRequested
+
     G = make_group("cyclic 18")
     assert G.order >= census._POOL_MIN_ORDER
-    base = classification_census(G, sizes=(1, 3)).to_dict()
-    ctx = _RecordingContext()
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
-    assert classification_census(G, sizes=(1, 3), jobs=jobs).to_dict() == base
-    assert ctx.processes == ([] if processes is None else [processes])
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
+    if processes is None:
+        assert classification_census(G, sizes=(1, 3), jobs=jobs).ok
+        assert requested == []
+    else:
+        with pytest.raises(_PoolRequested):
+            classification_census(G, sizes=(1, 3), jobs=jobs)
+        assert requested == [processes]
 
 
 def test_two_partitions_split_the_work_evenly(make_group):
