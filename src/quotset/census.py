@@ -15,7 +15,12 @@ counterexample instead of crashing.  A small set costs one picture search
 and one run of the clause evaluator that ``verify_structure`` formats.
 ``structure_scan`` does the same for the bounded-representative structure
 conjecture: every canonical set whose quotient set is within the range for
-``max_reps`` representatives must admit a witness subgroup.
+``max_reps`` representatives must admit a witness subgroup.  The scan only
+asks whether a witness exists, so it tries the whole group G first, outside
+the search: A meets G in one coset, G's hypotheses depend only on |A|, and
+its clauses are the search's own (``_witness_clauses``).  G witnesses a set
+exactly when Q = G and (n+1)|G| < (2n+1)|A|, which is most in-range sets;
+only the others run ``find_structure_witness``, over the proper subgroups.
 
 Both sweeps read one kernel, ``_canonical_masks``, which runs the canonical
 test and the quotient set in the same pass: every translate inv(a)*A for a
@@ -569,14 +574,15 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int, *,
     rep multiplies the sandwich by subgroup factors that H absorbs), so the
     minimal representatives lose nothing.
 
-    Each clause is evaluated once per candidate subgroup, as a plain bool,
-    from the products that ``_hypothesis_subgroups`` memoises per
-    (H, A0); the first subgroup with no failed clause is the witness, and
-    its report is formatted only when ``checks`` is read.
+    ``_witness_clauses`` evaluates each clause once per candidate subgroup,
+    as a plain bool, from the products that ``_hypothesis_subgroups``
+    memoises per (H, A0); the first subgroup with no failed clause is the
+    witness, and its report is formatted only when ``checks`` is read.
 
     ``_qmask`` and ``_candidates`` are for the scan, which already holds the
     quotient set of A and the ``(H, left_cosets(G, H))`` pairs to try in
-    place of every subgroup of G; both are trusted as given.
+    place of every subgroup of G; both are trusted as given.  The scan has
+    already tried G itself, so its candidates hold only proper subgroups.
     """
     if A.n != G.order:
         raise ValueError(f"set is over order {A.n}, group has order {G.order}")
@@ -590,28 +596,36 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int, *,
         _candidates = ((H, left_cosets(G, H)) for H in all_subgroups(G))
     k = amask.bit_count()
     qmask = quotient_mask(G, amask) if _qmask is None else _qmask
-    qk = qmask.bit_count()
 
-    for H, mc, rep_bits, cover, sandwich, window in _hypothesis_subgroups(
-            G, amask, n, _candidates):
-        h = H.order
-        ch = cover.bit_count()
-        target = (2 * mc - 1) * h
-        passed = (  # in StructureWitness.checks order
-            mc <= n,
-            True if window is None else None,
-            window,
-            amask & ~cover == 0,
-            ch == mc * h,
-            True,
-            sandwich == qmask,
-            qk == target,
-            k <= ch and (2 * n + 1) * ch < (2 * n + 1) * k + n * h,
-        )
+    for entry in _hypothesis_subgroups(G, amask, n, _candidates):
+        passed = _witness_clauses(amask, qmask, n, entry)
         if False not in passed:
-            return StructureWitness(H, ElemSet(G.order, rep_bits), n, k, qk, ch,
+            H, _, rep_bits, cover, sandwich, _ = entry
+            return StructureWitness(H, ElemSet(G.order, rep_bits), n, k,
+                                    qmask.bit_count(), cover.bit_count(),
                                     sandwich.bit_count(), passed)
     return None
+
+
+def _witness_clauses(amask: int, qmask: int, n: int, entry) -> tuple:
+    """The witness clauses, in ``StructureWitness.checks`` order, of set A
+    (``amask``, with quotient set ``qmask``) for one ``_hypothesis_subgroups``
+    entry at n = max_reps: None for the structural shape that does not
+    apply, and a subgroup is a witness when none is False.
+    """
+    H, mc, _, cover, sandwich, window = entry
+    k, qk, ch, h = amask.bit_count(), qmask.bit_count(), cover.bit_count(), H.order
+    return (
+        mc <= n,
+        True if window is None else None,
+        window,
+        amask & ~cover == 0,
+        ch == mc * h,
+        True,
+        sandwich == qmask,
+        qk == (2 * mc - 1) * h,
+        k <= ch and (2 * n + 1) * ch < (2 * n + 1) * k + n * h,
+    )
 
 
 def _structure_hypotheses_exist(G: GroupTable, cands, amask: int, n: int) -> bool:
@@ -670,9 +684,18 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
     # least c = ceil(k/|H|) cosets and (2mc-1)|H| grows with mc, so H can
     # pass only when (n+1)(2c-1)|H| < (2n+1)k.  (That also gives c <= n,
     # since k <= c|H|.)  The other subgroups fail for every set of size k
-    # and are dropped up front; the subgroup order is kept, so the first
-    # witness found does not change.
-    cands = [[(H, left_cosets(G, H)) for H in subgroups
+    # and are dropped up front.
+    #
+    # The whole group G is tried first, outside the searches: A meets it in
+    # one coset, with A0 = {e}, so its entry is the same for every set of
+    # size k and is computed once per size, from the k smallest ids.  It
+    # exists when (2n+1)k > (n+1)|G|.  The searches then try only the proper
+    # subgroups; whether a witness or a hypothesis exists does not depend on
+    # the order the subgroups are tried in.
+    whole = [(subgroups[-1], left_cosets(G, subgroups[-1]))]  # G sorts last
+    whole_entry = [None] + [next(_hypothesis_subgroups(G, (1 << k) - 1, n, whole), None)
+                            for k in range(1, order + 1)]
+    cands = [[(H, left_cosets(G, H)) for H in subgroups[:-1]
               if (n + 1) * (2 * -(-k // H.order) - 1) * H.order < (2 * n + 1) * k]
              for k in range(order + 1)]
 
@@ -689,10 +712,12 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
         qk = qmask.bit_count()
 
         in_range = (n + 1) * qk < (2 * n + 1) * k
+        entry = whole_entry[k]
         if in_range:
             in_range_count += 1
-            if find_structure_witness(G, ElemSet(order, m), n, _qmask=qmask,
-                                      _candidates=cands[k]) is not None:
+            if (entry is not None and False not in _witness_clauses(m, qmask, n, entry)
+                    or find_structure_witness(G, ElemSet(order, m), n, _qmask=qmask,
+                                              _candidates=cands[k]) is not None):
                 # A witness passed mc <= n, the density bound and one of the
                 # two shapes, which are exactly the hypotheses; and in range
                 # implies |Q| < 2|A|.  So the set counts as checked, and the
@@ -701,7 +726,8 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
                 checked += 1
                 continue
             counterexamples.append(m)
-        if 2 * k > qk and _structure_hypotheses_exist(G, cands[k], m, n):
+        if 2 * k > qk and (entry is not None and entry[-1] is not False
+                           or _structure_hypotheses_exist(G, cands[k], m, n)):
             checked += 1
             if not in_range:
                 suff_failures.append(m)

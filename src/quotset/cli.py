@@ -159,6 +159,8 @@ def _sweep_groups(args, sizes=None) -> list[GroupTable]:
         if not specs:
             raise ValueError(f"no group specs found in {args.groups_file}")
     else:
+        if args.max_order < 1:
+            raise ValueError(f"--max-order must be at least 1, got {args.max_order}")
         entries = _catalog(args.max_order)
         for order, _ in entries:
             check_sweep_cap(order, args.allow_big)
@@ -291,6 +293,8 @@ def _random_nonempty_mask(rng: random.Random, order: int) -> int:
 
 
 def _run_check_lemmas(args):
+    if args.box_trials < 0:
+        raise ValueError(f"--box-trials must be at least 0, got {args.box_trials}")
     G = build_group(args.group)
     findings = []
     axioms = verify_group_axioms(G)

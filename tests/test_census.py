@@ -545,11 +545,27 @@ def test_scan_pruning_loses_nothing(make_group):
     # products the scan memoised
     for spec in catalog_specs(12):
         G = make_group(spec)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             s = structure_scan(G, n)
             got = (s.in_range, s.witnesses_found, s.sufficiency_checked,
                    list(s.counterexamples), list(s.sufficiency_failures))
             assert got == _unpruned_scan_counts(build_group(spec), n), (spec, n)
+
+
+def test_whole_group_decides_exactly_the_sets_it_witnesses(monkeypatch):
+    # with the subgroup search switched off, the scan's witnesses are the
+    # ones the whole group G gives: the in-range canonical sets with Q = G
+    # and (n+1)|G| < (2n+1)|A|, counted by the oracles
+    monkeypatch.setattr(census, "find_structure_witness", lambda *a, **kw: None)
+    for spec in catalog_specs(12):
+        G = build_group(spec)
+        sets = [(len(A), len(naive_quotient(G, A)))
+                for A in map(set, canonical_sets(G))]
+        for n in (1, 2, 3, 4):
+            expected = sum(1 for k, q in sets
+                           if (n + 1) * q < (2 * n + 1) * k
+                           and q == G.order and (n + 1) * G.order < (2 * n + 1) * k)
+            assert structure_scan(G, n).witnesses_found == expected, (spec, n)
 
 
 def test_memoised_rep_products_match_a_fresh_recomputation():
@@ -654,8 +670,9 @@ def test_witness_reports_match_golden_digest():
 
 
 def test_witness_scan_agreement(s3):
-    # every in-range canonical class yields a witness through the same entry
-    # point the scan uses
+    # every in-range canonical class yields a witness through the public
+    # entry point, every subgroup tried; the scan decides most of these sets
+    # by the whole group alone and searches only the rest
     for A in canonical_sets(s3):
         q = quotient_set(s3, A).size
         for n in (1, 2):

@@ -160,6 +160,23 @@ def test_census_groups_file_errors(capsys, tmp_path):
     assert "no group specs found" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--max-order", "0"],
+    ["conjecture-scan", "--max-order", "-3", "--n", "2"],
+])
+def test_sweep_over_no_groups_is_refused(capsys, monkeypatch, argv):
+    # a clean verdict over zero groups would say nothing; refused before
+    # the catalog is read
+    def enumerate_catalog(max_order):
+        raise AssertionError(f"catalog enumerated up to order {max_order}")
+
+    monkeypatch.setattr(cli, "catalog_entries", enumerate_catalog)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--max-order must be at least 1" in err
+
+
 def test_cap_error_names_the_cli_flag(capsys):
     code, out, err = run(capsys, ["conjecture-scan", "--group", "cyclic 25",
                                   "--n", "1"])
@@ -326,6 +343,14 @@ def test_check_lemmas_rejects_a_non_subgroup(capsys):
         "check-lemmas", "--group", "cyclic 6", "--subgroup", "{0, 1}"])
     assert code == 2
     assert "is not a subgroup" in err
+
+
+def test_check_lemmas_rejects_negative_box_trials(capsys):
+    code, out, err = run(capsys, [
+        "check-lemmas", "--group", "cyclic 4", "--box-trials", "-5"])
+    assert code == 2
+    assert out == ""
+    assert "--box-trials must be at least 0" in err
 
 
 # === catalog ===
