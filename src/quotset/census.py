@@ -17,10 +17,12 @@ and one run of the clause evaluator that ``verify_structure`` formats.
 conjecture: every canonical set whose quotient set is within the range for
 ``max_reps`` representatives must admit a witness subgroup.  The scan only
 asks whether a witness exists, so it tries the whole group G first, outside
-the search: A meets G in one coset, G's hypotheses depend only on |A|, and
-its clauses are the search's own (``_witness_clauses``).  G witnesses a set
-exactly when Q = G and (n+1)|G| < (2n+1)|A|, which is most in-range sets;
-only the others run ``find_structure_witness``, over the proper subgroups.
+the search: A meets G in one coset, so G's entry depends only on |A|, and
+where it exists |A| > |G|/2 forces Q = G.  Its clauses, the search's own
+(``_witness_clauses``), are therefore evaluated once per set size.  G
+witnesses a set exactly when Q = G and (n+1)|G| < (2n+1)|A|, which is most
+in-range sets; only the others run ``find_structure_witness``, over the
+proper subgroups.
 
 Both sweeps read one kernel, ``_canonical_masks``, which runs the canonical
 test and the quotient set in the same pass: every translate inv(a)*A for a
@@ -686,15 +688,25 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
     # since k <= c|H|.)  The other subgroups fail for every set of size k
     # and are dropped up front.
     #
-    # The whole group G is tried first, outside the searches: A meets it in
-    # one coset, with A0 = {e}, so its entry is the same for every set of
-    # size k and is computed once per size, from the k smallest ids.  It
-    # exists when (2n+1)k > (n+1)|G|.  The searches then try only the proper
+    # The whole group G is tried first, outside the searches.  A meets it in
+    # one coset, with A0 = {e}, so its entry (mc = 1, cover = sandwich = G,
+    # window None) is the same for every set of size k, and it exists only
+    # when (2n+1)k > (n+1)|G|.  Then k > |G|/2, so A meets every translate
+    # gA and Q = G: every set of that size is in range, and G's clauses read
+    # the same for all of them.  So they are evaluated once per size, on the
+    # k smallest ids with Q = G, and whole_ok[k] says whether G is a witness
+    # for every set of size k.  Its last clause is the entry's own density
+    # bound, so whole_ok[k] holds whenever the entry exists, and a set G
+    # satisfies the hypotheses for is always in range and witnessed: the
+    # hypothesis check never needs G.  The searches then try only the proper
     # subgroups; whether a witness or a hypothesis exists does not depend on
     # the order the subgroups are tried in.
     whole = [(subgroups[-1], left_cosets(G, subgroups[-1]))]  # G sorts last
-    whole_entry = [None] + [next(_hypothesis_subgroups(G, (1 << k) - 1, n, whole), None)
-                            for k in range(1, order + 1)]
+    full = (1 << order) - 1
+    whole_ok = [False] + [
+        any(False not in _witness_clauses((1 << k) - 1, full, n, entry)
+            for entry in _hypothesis_subgroups(G, (1 << k) - 1, n, whole))
+        for k in range(1, order + 1)]
     cands = [[(H, left_cosets(G, H)) for H in subgroups[:-1]
               if (n + 1) * (2 * -(-k // H.order) - 1) * H.order < (2 * n + 1) * k]
              for k in range(order + 1)]
@@ -712,10 +724,9 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
         qk = qmask.bit_count()
 
         in_range = (n + 1) * qk < (2 * n + 1) * k
-        entry = whole_entry[k]
         if in_range:
             in_range_count += 1
-            if (entry is not None and False not in _witness_clauses(m, qmask, n, entry)
+            if (whole_ok[k]
                     or find_structure_witness(G, ElemSet(order, m), n, _qmask=qmask,
                                               _candidates=cands[k]) is not None):
                 # A witness passed mc <= n, the density bound and one of the
@@ -726,8 +737,7 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
                 checked += 1
                 continue
             counterexamples.append(m)
-        if 2 * k > qk and (entry is not None and entry[-1] is not False
-                           or _structure_hypotheses_exist(G, cands[k], m, n)):
+        if 2 * k > qk and _structure_hypotheses_exist(G, cands[k], m, n):
             checked += 1
             if not in_range:
                 suff_failures.append(m)

@@ -13,9 +13,9 @@ interpreter with PYTHONDONTWRITEBYTECODE=1.  A series is a seed and a
 number of rounds.  Every round runs each workload once per side, in
 ``WORKLOADS`` order, with the parent first in odd rounds and the change
 first in even ones, so that a drift in the host's speed does not favour one
-side.  ``--seconds`` defaults to the run length in ``BENCHMARK.json``; a
-shorter one only checks the driver.  The output file is rewritten after
-every run, so an interrupted series keeps the runs it finished.
+side.  Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  The output
+file is rewritten after every run, so an interrupted series keeps the runs
+it finished.
 
 The summary of a series (``summarize``) gives, per workload and end-to-end
 metric: each side's median and quartiles (``statistics.quantiles``, n=4),
@@ -143,15 +143,10 @@ def parse_args(argv):
                    help="what the change does, recorded under 'changes'")
     p.add_argument("--series", type=_series_arg, action="append", required=True,
                    metavar="SEED:ROUNDS", help="a seed and its number of rounds")
-    p.add_argument("--seconds", type=float,
-                   help="run length (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--workdir", type=Path, required=True,
                    help="where the two revisions are unpacked")
     p.add_argument("--out", type=Path, required=True)
-    args = p.parse_args(argv)
-    if args.seconds is not None and args.seconds <= 0:
-        p.error(f"--seconds must be positive, got {args.seconds:g}")
-    return args
+    return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -161,14 +156,13 @@ def main(argv=None) -> int:
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         benchmark = json.load(fh)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     trees = {"parent": _unpack(parent, args.workdir),
              "change": _unpack(change, args.workdir)}
     doc = {
         "command": RUN_COMMAND.format(seconds=seconds),
         "driver": "python3 tools/bench_pairs.py " + " ".join(
-            [f"--series {seed}:{rounds}" for seed, rounds in args.series]
-            + [f"--seconds {seconds:g}"]),
+            f"--series {seed}:{rounds}" for seed, rounds in args.series),
         "parent": parent,
         "changes": {change: args.note},
         "host": (f"{os.cpu_count()}-core {platform.system()}, Python "
