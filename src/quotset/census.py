@@ -24,26 +24,27 @@ witnesses a set exactly when Q = G and (n+1)|G| < (2n+1)|A|, which is most
 in-range sets; only the others run ``find_structure_witness``, over the
 proper subgroups.
 
-Both sweeps read one kernel, ``_canonical_masks``, which runs the canonical
-test and the quotient set in the same pass: every translate inv(a)*A for a
-in A either beats A (not canonical), equals it (a stabilizes A), or joins
-the quotient set.  It reads the group's row tables
-(``GroupTable.action_tables``): a mask is three chunks of w = ceil(order/3)
-bits, and the rows give inv(a)*X for every chunk value X and every a at
-once.  The kernel walks the masks in blocks that share their two high
-chunks, merges those chunks' rows once per block, and so pays two lookups
-and one OR per translate.
+Both sweeps read one kernel, ``_canonical_masks``, which decides the
+canonical test and builds the quotient set a block of masks at a time.  It
+reads the group's row tables (``GroupTable.action_tables``): a mask is three
+chunks of w = ceil(order/3) bits, and the rows give inv(a)*X for every chunk
+value X and every a at once.  The kernel walks the masks in blocks that
+share their two high chunks and merges those chunks' rows once per block,
+so a translate inv(a)*A costs two lookups and one OR.
 
-Before any translate, a block drops in bulk the masks it can prove are not
-canonical.  Masks compare as integers, so a canonical A has
-max(inv(a)*A) >= max(A) for every a in A: a translate whose elements all
-lie below A's top element is a smaller mask.  In a block whose high chunks
-are not empty that top element h is fixed, and the merged rows tell for
-each a whether the high chunks alone already reach h; where they do not, a
-per-partition table (``_prefilter_tables``) gives, as one bitset over the
-chunk-0 values, the values that do reach it or that leave a out of A.
-ANDing those bitsets leaves about one mask in five at orders 16-18, and the
-translate loop still decides each survivor.
+Masks compare as integers, so a canonical A has max(inv(a)*A) >= max(A)
+for every a in A: a translate whose elements all lie below A's top element
+h is a smaller mask.  In a block whose high chunks are not empty h is fixed,
+and one pass over the merged rows (``_block_survivors``) drops in bulk the
+masks that some a rules out this way.  A per-partition table
+(``_prefilter_tables``) gives, as one bitset over the chunk-0 values, the
+values that reach h or leave a out of A, and ANDing those bitsets leaves
+about one mask in five at orders 16-18.  Every translate of a survivor
+reaches h, so it can be at most A only when its top element is exactly h.
+The same pass lists the a for which that can happen, and only those
+translates are compared: about one in twenty of a canonical set's at order
+20.  The quotient set is read from per-block tables, not gathered from
+translates.
 
 Multi-process sweeps partition the blocks by how many elements their two
 high chunks hold: partition ``part`` of ``parts`` takes the blocks whose
@@ -60,6 +61,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import reduce
 from operator import or_
 
 from .classify import (
@@ -72,7 +74,7 @@ from .classify import (
 )
 from .groups import GroupTable, build_group
 from .reports import CheckItem, CheckReport
-from .setops import ElemSet, product_mask, quotient_mask
+from .setops import ElemSet, invert_mask, product_mask, quotient_mask
 from .subgroups import Subgroup, all_subgroups, left_cosets, normalizer
 
 __all__ = [
@@ -231,14 +233,15 @@ def _prefilter_tables(G: GroupTable, w: int) -> list:
     h.  This table covers the chunk-0 part of A, the elements that c0
     marks: for a in chunk 0 it holds the c0 without a and the c0 that hold
     some x with inv(a)*x >= h; for a in the high chunks it holds only the
-    latter.  Entries for h < w are never read.
+    latter.  Row h = order, which no element reaches, is the c0 without a
+    alone.  Entries for h < w are never read.
     """
     n, mul = G.order, G.mul
     size = 1 << w
     full = (1 << size) - 1
     lack = [sum(1 << c0 for c0 in range(size) if not c0 >> x & 1)
             for x in range(w)]  # the c0 without x
-    need = [[0] * n for _ in range(n)]
+    need = [[0] * n for _ in range(n + 1)]
     for a in range(n):
         low = lack[a] if a < w else 0
         below = 1  # the c0 whose every x has inv(a)*x < h
@@ -247,26 +250,47 @@ def _prefilter_tables(G: GroupTable, w: int) -> list:
             x = mul[a][h]  # inv(a)*x = h
             if x < w:
                 below |= below << (1 << x)
+        need[n][a] = low
     return need
 
 
-def _block_survivors(cand: int, m1: int, r12: list, elems, need: list) -> int:
-    """The chunk-0 values in bitset ``cand`` that may make ``m1 | c0``
-    canonical, for a block whose high chunks ``m1`` are not empty.
+def _block_survivors(cand: int, m1: int, r12: list, elems, need: list):
+    """``(cand, ties, row)`` for the block of high chunks ``m1``: the
+    chunk-0 values in bitset ``cand`` that may make ``m1 | c0`` canonical,
+    and the a whose translate inv(a)*A may be at most A, for exactly the c0
+    outside ``row[a]``.  ``elems`` holds the high elements of A and every
+    non-identity element of chunk 0.
 
     Masks compare as integers, so a canonical A has max(inv(a)*A) >= h =
-    max(A) for every a in A, and in this block h is the top bit of m1.
-    inv(a)*A is ``r0[a] | r12[a]``: when ``r12[a]`` already reaches h, a
-    rules nothing out, and otherwise the chunk-0 part must, which
-    ``need[h][a]`` says for each c0.  ``elems`` holds the high elements of
-    A and every non-identity element of chunk 0.
+    max(A) for every a in A, and in a block whose high chunks are not empty
+    h is the top bit of m1.  inv(a)*A is ``r0[a] | r12[a]``: when
+    ``r12[a]`` already reaches h, a rules nothing out, and otherwise the
+    chunk-0 part must, which ``need[h][a]`` says for each c0.  A translate
+    that reaches past h is above A, so it ties only when ``r12[a]`` stays
+    below bit h + 1 and c0 is outside ``need[h + 1][a]``.  The block with
+    empty high chunks has no fixed h: nothing is dropped, every a is a tie
+    candidate, and ``need[order]`` keeps only the c0 that hold a.
     """
+    if not m1:
+        return cand, elems, need[-1]
     h = m1.bit_length() - 1
-    top, row = 1 << h, need[h]
+    top, lim, row = 1 << h, 2 << h, need[h]
+    ties = []
     for a in elems:
-        if r12[a] < top:
-            cand &= row[a]
-    return cand
+        t = r12[a]
+        if t < lim:
+            ties.append(a)
+            if t < top:
+                cand &= row[a]
+    return cand, ties, need[h + 1]
+
+
+def _subset_ors(rows: list, base: int) -> list:
+    """Entry v is ``base`` ORed with ``rows[i]`` for every bit i of v."""
+    table = [base]
+    for r in rows:
+        table += [q | r for q in table]
+    return table
 
 
 def _canonical_masks(G: GroupTable, lo: int, hi: int, part: int, parts: int,
@@ -276,21 +300,33 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, part: int, parts: int,
     The partition holds the masks with the identity bit set whose two high
     chunks hold s elements with ``s % parts == part``; only sizes k in
     lo..hi are visited, and once the generator is exhausted ``visited[0]``
-    has grown by the number of masks visited.  Every left translate
-    inv(a)*A for a in A both feeds the minimality test and joins the
-    quotient set, so ``qmask`` is the quotient set of a canonical mask and
-    ``stab`` the number of a with inv(a)*A = A.  The masks come in
-    ascending order.
+    has grown by the number of masks visited.  ``qmask`` is the quotient
+    set of a canonical mask and ``stab`` the number of a in A with
+    inv(a)*A = A.  The masks come in ascending order.
 
-    Before that test, each block whose high chunks are not empty drops, in
-    bulk, the masks that ``_block_survivors`` proves are not canonical:
-    about four in five at orders 16-18.  A mask is dropped only when some a
-    in A puts every element of inv(a)*A below A's top element, and then
-    inv(a)*A < A.  The translate loop still decides every mask that
-    survives.
+    Each (c2, c1) block is decided in bulk by ``_block_survivors``.  It
+    drops the masks that some a in A proves not canonical by putting every
+    element of inv(a)*A below A's top element h, about four in five at
+    orders 16-18.  Every other translate reaches h, so it is above A unless
+    its top element is exactly h, and only those ties are compared: for
+    each tie candidate a, the kernel walks the survivors whose chunk-0 part
+    keeps inv(a)*A below bit h + 1, drops a mask whose translate is smaller
+    and counts a stabilizer where it is equal.  So ``stab`` stays 1 unless
+    a translate equals A, and a canonical set pays no translate beyond its
+    ties.
+
+    The quotient set comes from tables.  With X0 the chunk-0 part of A and
+    X12 the rest, Q is the union of X0^-1 X0, X12^-1 X12, and X12^-1 x and
+    inv(x)*X12 for every x in X0.  The first term is a per-c0 table and the
+    second one OR per block.  The rest is the OR of the block's symmetric
+    rows over the x in c0, read from two subset tables, one per half of c0,
+    built once per block that keeps a mask.  A canonical mask costs three
+    lookups.
     """
+    assert G.order <= HARD_CENSUS_CAP, f"order {G.order} is past the sweep cap"
     t = G.action_tables()
     w, rows = t.width, t.rows
+    assert all(type(r) is list for r in rows), "wide tables reach the kernel"
     (rows0, rows1, rows2), (elems0, elems1, elems2) = rows, t.elems
 
     # A (c2, c1) block holds the masks m1 | c0 for every odd chunk-0 value
@@ -302,48 +338,57 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, part: int, parts: int,
               for s in range(2 * w + 1)]
     need = _prefilter_tables(G, w)
     ids0 = elems0[-1]
+    pc0 = [c0.bit_count() for c0 in range(len(rows0))]
+    # the quotient set's tables: q0[c0] = X0^-1 X0, and per high chunk the
+    # symmetric rows, entry x of value v being inv(x)*Y and Y^-1 x for the
+    # elements Y it marks; a block's tables split c0 at bit half
+    q0 = [reduce(or_, map(r.__getitem__, e), r[0]) for r, e in zip(rows0, elems0)]
+    sym1, sym2 = [[[r[x] | invert_mask(G, r[x]) for x in range(w)] for r in rc]
+                  for rc in (rows1, rows2)]
+    half = w // 2
+    hm = (1 << half) - 1
     count = 0
     for c2 in range(len(rows2)):
-        r2, e2, m2 = rows2[c2], elems2[c2], c2 << 2 * w
+        r2, e2, s2, m2 = rows2[c2], elems2[c2], sym2[c2], c2 << 2 * w
         for c1 in range(len(rows1)):
             m1 = m2 | c1 << w
-            cand = block0[m1.bit_count()]
+            s = m1.bit_count()
+            cand = block0[s]
             if not cand:
                 continue
             count += cand.bit_count()
             # one merged row per block: a translate is r0[a] | r12[a]
             r12, e12 = list(map(or_, rows1[c1], r2)), elems1[c1] + e2
-            if m1:
-                cand = _block_survivors(cand, m1, r12, e12 + ids0, need)
+            cand, ties, row = _block_survivors(cand, m1, r12, e12 + ids0, need)
+            if not cand:
+                continue
+            # compare only the translates that can tie with A
+            stabs = {}
+            for a in ties:
+                ra = r12[a]
+                walk = cand & ~row[a]
+                while walk:
+                    low = walk & -walk
+                    walk ^= low
+                    c0 = low.bit_length() - 1
+                    t = rows0[c0][a] | ra
+                    m = m1 | c0
+                    if t < m:
+                        cand ^= low
+                    elif t == m:
+                        stabs[c0] = stabs.get(c0, 1) + 1
+            if not cand:
+                continue
+            # Q = q0[c0] | the block's X12^-1 X12 | its symmetric rows over c0
+            s12 = list(map(or_, sym1[c1], s2))
+            q_lo = _subset_ors(s12[:half], reduce(or_, map(r12.__getitem__, e12), 0))
+            q_hi = _subset_ors(s12[half:], 0)
             while cand:
                 low = cand & -cand
                 cand ^= low
                 c0 = low.bit_length() - 1
-                m = m1 | c0
-                r0 = rows0[c0]
-                qmask = m
-                stab = 1
-                # chunk 0's elements first, with no joined list: about half
-                # of all masks fail on the first of them
-                for a in elems0[c0]:
-                    t = r0[a] | r12[a]
-                    if t < m:
-                        break
-                    if t == m:
-                        stab += 1
-                    else:
-                        qmask |= t
-                else:
-                    for a in e12:
-                        t = r0[a] | r12[a]
-                        if t < m:
-                            break
-                        if t == m:
-                            stab += 1
-                        else:
-                            qmask |= t
-                    else:
-                        yield m, m.bit_count(), qmask, stab
+                qmask = q0[c0] | q_lo[c0 & hm] | q_hi[c0 >> half]
+                yield m1 | c0, s + pc0[c0], qmask, stabs.get(c0, 1) if stabs else 1
     visited[0] += count
 
 

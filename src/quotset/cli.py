@@ -139,7 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _catalog(max_order: int) -> list[tuple[int, str]]:
-    """The catalog up to ``max_order``, refused past ``build_group``'s cap."""
+    """The catalog up to ``max_order``, refused below order 1, where it
+    would select no group, and past ``build_group``'s cap."""
+    if max_order < 1:
+        raise ValueError(f"--max-order must be at least 1, got {max_order}")
     if max_order > DEFAULT_ORDER_CAP:
         raise ValueError(f"--max-order {max_order} exceeds the group order cap "
                          f"{DEFAULT_ORDER_CAP}")
@@ -159,8 +162,6 @@ def _sweep_groups(args, sizes=None) -> list[GroupTable]:
         if not specs:
             raise ValueError(f"no group specs found in {args.groups_file}")
     else:
-        if args.max_order < 1:
-            raise ValueError(f"--max-order must be at least 1, got {args.max_order}")
         entries = _catalog(args.max_order)
         for order, _ in entries:
             check_sweep_cap(order, args.allow_big)

@@ -160,9 +160,11 @@ def test_sweep_kernel_matches_canonical_form(make_group, spec):
 @pytest.mark.parametrize("spec", catalog_specs(12) + ["cyclic 13", "cyclic 15",
                                                      "dihedral 8"])
 def test_block_prefilter_drops_only_non_canonical_masks(make_group, spec):
-    # the kernel's bulk prefilter, block by block against the oracle's
-    # canonical sets: every chunk-0 value it drops completes the block's
-    # high chunks to a non-canonical mask.  The merged high rows come from
+    # the kernel's block pass, block by block against the oracle's canonical
+    # sets: every chunk-0 value it drops completes the block's high chunks
+    # to a non-canonical mask, and every a in a kept mask's A with
+    # inv(a)*A <= A is among the block's tie candidates, with the mask
+    # outside its row.  The merged high rows and the translates come from
     # G.mul, not from the action tables.
     G = make_group(spec)
     n = G.order
@@ -170,6 +172,7 @@ def test_block_prefilter_drops_only_non_canonical_masks(make_group, spec):
     cm = (1 << w) - 1
     need = census._prefilter_tables(G, w)
     canonical = set(naive_canonical_masks(G))
+    ties_seen = 0
     for parts in PARTS:
         dropped = 0
         for part in range(parts):
@@ -178,21 +181,59 @@ def test_block_prefilter_drops_only_non_canonical_masks(make_group, spec):
                 if _in_partition(G, m, part, parts):
                     blocks[m & ~cm] = blocks.get(m & ~cm, 0) | 1 << (m & cm)
             for m1, cand in blocks.items():
-                if not m1:
-                    continue
                 high = [x for x in range(w, n) if m1 >> x & 1]
                 r12 = [sum(1 << G.mul[G.inv[a]][x] for x in high)
                        for a in range(n)]
-                kept = census._block_survivors(cand, m1, r12,
-                                               high + list(range(1, w)), need)
+                kept, ties, row = census._block_survivors(
+                    cand, m1, r12, high + list(range(1, w)), need)
                 assert kept & ~cand == 0
                 gone = cand & ~kept
                 assert not [c0 for c0 in range(cm + 1)
                             if gone >> c0 & 1 and m1 | c0 in canonical]
                 dropped += gone.bit_count()
+                if parts > 1:
+                    continue  # the same blocks, already checked at one part
+                for c0 in range(1, cm + 1, 2):
+                    if not kept >> c0 & 1:
+                        continue
+                    A = [x for x in range(n) if (m1 | c0) >> x & 1]
+                    for a in A[1:]:
+                        if sum(1 << G.mul[G.inv[a]][x] for x in A) <= m1 | c0:
+                            assert a in ties and not row[a] >> c0 & 1, (m1 | c0, a)
+                            ties_seen += 1
         if spec == "dihedral 8":
             # a filter that dropped nothing would pass the check above
             assert 2 * dropped > 1 << n - 1, parts
+    if spec == "dihedral 8":
+        assert ties_seen  # and so would a block pass that saw no tie
+
+
+# Order 18 is the first with three full chunks of w = 6 bits (tier-1's
+# order-16 groups leave chunk 2 at four), so chunk 0 splits into two 3-bit
+# halves for the quotient tables under both high chunks at full width.
+@pytest.mark.extended
+@pytest.mark.parametrize("spec", ["dihedral 9", "cyclic 18"])
+def test_sweep_kernel_matches_the_oracles_at_order_18(make_group, spec):
+    G = make_group(spec)
+    n = G.order
+    expected = {}
+    for m in naive_canonical_masks(G):
+        A = {x for x in range(n) if m >> x & 1}
+        stab = sum(1 for a in A if {G.mul[G.inv[a]][x] for x in A} == A)
+        expected[m] = (len(A), sum(1 << q for q in naive_quotient(G, A)), stab)
+    for parts in (1, 2):
+        got = {}
+        for part in range(parts):
+            for m, k, qmask, stab in _canonical_masks(G, 1, n, part, parts, [0]):
+                got[m] = (k, qmask, stab)
+        assert got == expected, parts
+
+
+def test_sweep_kernel_refuses_groups_past_the_cap():
+    # past order 36 the action tables are wide, which the kernel never reads
+    G = build_group("cyclic 40")
+    with pytest.raises(AssertionError, match="sweep cap"):
+        next(_canonical_masks(G, 1, G.order, 0, 1, [0]))
 
 
 def _burnside_orbit_counts(G):

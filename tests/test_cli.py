@@ -163,10 +163,12 @@ def test_census_groups_file_errors(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["census", "--max-order", "0"],
     ["conjecture-scan", "--max-order", "-3", "--n", "2"],
+    ["catalog", "--max-order", "0"],
+    ["catalog", "--max-order", "-3"],
 ])
 def test_sweep_over_no_groups_is_refused(capsys, monkeypatch, argv):
-    # a clean verdict over zero groups would say nothing; refused before
-    # the catalog is read
+    # a clean verdict, or an empty listing, over zero groups would say
+    # nothing; every catalog verb refuses it before the catalog is read
     def enumerate_catalog(max_order):
         raise AssertionError(f"catalog enumerated up to order {max_order}")
 
