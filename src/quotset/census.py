@@ -96,9 +96,9 @@ __all__ = [
 DEFAULT_CENSUS_CAP = 24
 
 #: No override reaches past this.  By extrapolation (no order-32 census has
-#: run), its 2^31 masks take about 4-10 minutes at jobs 2 at the 3.5-8.5 M
-#: masks/s that the order-24 census-deep benchmark measures on a shared
-#: 2-core host whose speed varies about 2x (medians of four ten-run series).
+#: run), its 2^31 masks take about 5-7 minutes at jobs 2 at the 5.3-6.7 M
+#: masks/s that every run of the order-24 census-deep benchmark measured in
+#: BENCH_13.json, on a shared 2-core host whose speed varies about 2x.
 HARD_CENSUS_CAP = 32
 
 #: Groups below this order are swept in process at every job count: there a
