@@ -95,10 +95,11 @@ __all__ = [
 #: Sweeps refuse groups beyond this order unless explicitly overridden.
 DEFAULT_CENSUS_CAP = 24
 
-#: No override reaches past this.  By extrapolation (no order-32 census has
-#: run), its 2^31 masks take about 5-7 minutes at jobs 2 at the 5.3-6.7 M
-#: masks/s that every run of the order-24 census-deep benchmark measured in
-#: BENCH_13.json, on a shared 2-core host whose speed varies about 2x.
+#: No override reaches past this.  By extrapolation, its 2^31 masks take
+#: about 5-7 minutes at jobs 2 at the 5.3-6.7 M masks/s that every run of
+#: the order-24 census-deep benchmark measured in BENCH_13.json, on a shared
+#: 2-core host whose speed varies about 2x.  One order-32 census has run on
+#: that host: `dihedral 16` took 258 s at jobs 2 (8.3 M masks/s).
 HARD_CENSUS_CAP = 32
 
 #: Groups below this order are swept in process at every job count: there a
