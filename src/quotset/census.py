@@ -11,8 +11,14 @@ of the group.
 set with a small quotient set and, for the remaining sets, confirms that
 neither coset picture's hypotheses hold for any subgroup; each finding is
 reported as a violation rather than asserted, so a sweep can surface a
-counterexample instead of crashing.  A small set costs one picture search
-and one run of the clause evaluator that ``verify_structure`` formats.
+counterexample instead of crashing.  Every canonical set holds the identity
+as its least element, so the picture search takes a = e and reads the
+coset eH = H: a set can meet a picture's hypotheses only inside a
+container, H for a single-coset candidate of its size or H | gH for a
+two-coset candidate of its size.  Only the sets inside a container reach
+the search (``_picture_prefilter``), about one per small set, and a set
+outside them all has no picture.  A small set costs that search and one run
+of the clause evaluator that ``verify_structure`` formats.
 ``structure_scan`` does the same for the bounded-representative structure
 conjecture: every canonical set whose quotient set is within the range for
 ``max_reps`` representatives must admit a witness subgroup.  The scan only
@@ -393,12 +399,83 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, part: int, parts: int,
     visited[0] += count
 
 
+def _picture_prefilter(cands: dict, w: int):
+    """``maybe(block)``: the bitset of the odd chunk-0 values c0 for which
+    the mask ``block << w | c0`` lies in a container that serves its size.
+
+    ``cands`` maps each size k to its ``_picture_candidates``.  Every mask
+    the kernel yields holds the identity, its least element, so
+    ``_coset_picture`` takes a = e and reads cosets[e] = H: a set has a
+    picture only inside H, for a single-coset candidate H of its size, or
+    inside H | gH, for a two-coset candidate H of its size and a coset
+    gH != H.  Those are the containers, each with the sizes it serves.  A
+    set outside all of them has no picture; the window test stays in the
+    search.
+
+    ``pairs1[c1]`` and ``pairs2[c2]`` are the containers whose high chunks
+    hold c1 and c2.  The c0 inside a container's chunk 0 that complete high
+    chunks of s elements to one of its sizes are gathered on first use, per
+    container and s.
+    """
+    sizes: dict[int, set] = {}  # container mask -> the sizes it serves
+    for k, (single, double) in cands.items():
+        for H, _ in single:
+            sizes.setdefault(H.bits, set()).add(k)
+        for H, cosets in double:
+            for g in dict.fromkeys(cosets):  # each left coset once
+                if g != H.bits:
+                    sizes.setdefault(H.bits | g, set()).add(k)
+    boxes = list(sizes.items())
+    fw = (1 << w) - 1
+    full = (1 << len(boxes)) - 1
+    pairs1, pairs2 = (  # all containers but those that lack an element c marks
+        [full ^ lack for lack in _subset_ors(
+            [sum(1 << i for i, (v, _) in enumerate(boxes) if not v >> x & 1)
+             for x in range(base, base + w)], 0)]
+        for base in (w, 2 * w))
+    stride = 2 * w + 1
+    fits = [None] * (len(boxes) * stride)  # entry i * stride + s
+
+    def maybe(block: int) -> int:
+        s = block.bit_count()
+        live = pairs1[block & fw] & pairs2[block >> w]
+        bits = 0
+        while live:
+            low = live & -live
+            live ^= low
+            i = low.bit_length() - 1
+            got = fits[i * stride + s]
+            if got is None:
+                v0, ks = boxes[i][0] & fw, boxes[i][1]
+                got, c0 = 0, v0
+                while c0:  # the odd values inside v0, by submask descent
+                    if c0 & 1 and s + c0.bit_count() in ks:
+                        got |= 1 << c0
+                    c0 = c0 - 1 & v0
+                fits[i * stride + s] = got
+            bits |= got
+        return bits
+
+    return maybe
+
+
 def _census_partition(G: GroupTable, subgroups, lo, hi, part, parts):
-    """Sweep the subsets of partition ``part`` of ``parts``."""
+    """Sweep the subsets of partition ``part`` of ``parts``.
+
+    The picture search runs only on the masks that ``_picture_prefilter``
+    places in a container of their size, read once per block of masks that
+    share their high chunks.  A mask outside every container has no
+    picture: it holds the identity, so the search would take a = e and
+    cosets[a] = H, and H, or H | gH, would have to hold it.
+    """
     order = G.order
     # picture candidates, for the sizes that have any
     cands = {k: c for k in range(lo, hi + 1)
              if any(c := _picture_candidates(G, subgroups, k))}
+    w = G.action_tables().width
+    fw = (1 << w) - 1
+    maybe = _picture_prefilter(cands, w)
+    block = fits = None
 
     scanned = [0]
     classes = 0
@@ -416,7 +493,10 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, part, parts):
             row[0], row[1] = qk, m
         row[2] += order // stab
 
-        picture = _coset_picture(G, m, *cands[k]) if k in cands else None
+        if m >> w != block:
+            block = m >> w
+            fits = maybe(block)
+        picture = _coset_picture(G, m, *cands[k]) if fits >> (m & fw) & 1 else None
         if 3 * qk >= 5 * k:
             # The set is not small, so no subgroup may satisfy either
             # picture's hypotheses.
@@ -456,9 +536,13 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
     Returns a report whose ``violations`` field is empty exactly when every
     small-quotient set fit one of the two coset pictures, every claimed
     decomposition checked out, and no not-small set satisfied either
-    picture's hypotheses.  A small set gets ``classify``'s picture search
-    and the clause evaluator of ``verify_structure``, which recomputes its
-    quotient set.
+    picture's hypotheses.  A set inside a container of its size, H or
+    H | gH for a candidate subgroup H (every small set, and the few others
+    that only the window test rules out), gets ``classify``'s picture
+    search; a set outside every container cannot meet either picture's
+    hypotheses, since its least element is the identity and the search
+    reads the coset eH = H.  A small set also gets the clause evaluator of
+    ``verify_structure``, which recomputes its quotient set.
     """
     start = time.perf_counter()
     check_sweep_cap(G.order, allow_big)

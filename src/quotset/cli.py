@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -171,6 +172,17 @@ def _sweep_groups(args, sizes=None) -> list[GroupTable]:
         check_sweep_cap(G.order, args.allow_big)
         check_sizes(G, sizes)
     return groups
+
+
+def _check_output(path: str) -> None:
+    """Refuse an ``--output`` PATH that is a directory or whose parent is
+    not an existing directory, so that no sweep runs only to fail the
+    write."""
+    if os.path.isdir(path):
+        raise ValueError(f"--output {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--output {path}: {parent} is not an existing directory")
 
 
 def _replay(spec: str, s: ElemSet) -> str:
@@ -517,6 +529,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         doc, findings = _HANDLERS[args.verb](args)
     except (GroupSpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

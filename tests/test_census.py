@@ -26,7 +26,7 @@ from quotset.census import (
     structure_scan,
 )
 from quotset.classify import ClassKind, _coset_picture, _picture_candidates, classify
-from quotset.groups import build_group, catalog_specs
+from quotset.groups import ALTERNATING4_SPEC, build_group, catalog_specs
 from quotset.setops import (
     ElemSet,
     product_mask,
@@ -316,6 +316,39 @@ def test_classify_candidates_pick_the_same_picture(make_group):
                 assert picture is None
 
 
+@pytest.mark.parametrize("spec", catalog_specs(16))
+def test_picture_prefilter_keeps_every_set_with_a_picture(make_group, spec):
+    # the census searches for a picture only on the chunk-0 values in its
+    # block's maybe bitset, so every canonical mask with a picture must be
+    # in it, at one part and at two.  The filter only places sets in
+    # containers; the window test stays in the search.  In these groups it
+    # lets through exactly the masks with a picture, except in A4, where
+    # not-small sets inside some H | gH reach the search and fail the window
+    G = make_group(spec)
+    n = G.order
+    subgroups = all_subgroups(G)
+    w = G.action_tables().width
+    cands = {k: _picture_candidates(G, subgroups, k) for k in range(1, n + 1)}
+    maybe = census._picture_prefilter({k: c for k, c in cands.items() if any(c)}, w)
+    for parts in (1, 2):
+        passed = pictured = 0
+        rejected = []
+        for part in range(parts):
+            for m, k, qmask, _ in _canonical_masks(G, 1, n, part, parts, [0]):
+                picture = _coset_picture(G, m, *cands[k])
+                kept = maybe(m >> w) >> (m & (1 << w) - 1) & 1
+                assert kept or picture is None, m
+                passed += kept
+                pictured += picture is not None
+                if kept and picture is None:
+                    rejected.append(3 * qmask.bit_count() >= 5 * k)
+        if spec == ALTERNATING4_SPEC:
+            assert (passed, pictured) == (96, 89), parts
+            assert all(rejected)  # each rejected set is not small
+        else:
+            assert passed == pictured, parts
+
+
 # === the classification census ===
 
 
@@ -397,6 +430,61 @@ def test_census_reports_the_structure_clauses_that_fail(monkeypatch, make_group,
             expected.append((list(A), "structure", "; ".join(failing)))
     assert expected
     got = classification_census(G).violations
+    assert [(list(v.subset), v.kind, v.detail) for v in got] == expected
+
+
+def test_census_reports_not_small_sets_that_meet_a_picture_hypotheses(
+        monkeypatch, a4):
+    # a picture search without the window test accepts, in A4, not-small
+    # sets that lie in H | bH for a two-coset candidate H of their size: the
+    # census must report exactly those, each as a sufficiency violation
+    # naming the first such H
+    def windowless(G, amask, single, double):
+        a = (amask & -amask).bit_length() - 1
+        for H, cosets in single:
+            if amask & ~cosets[a] == 0:
+                return H, a, None
+        for H, cosets in double:
+            rest = amask & ~cosets[a]
+            b = (rest & -rest).bit_length() - 1
+            if rest and not rest & ~cosets[b]:
+                return H, a, b
+        return None
+
+    monkeypatch.setattr(census, "_coset_picture", windowless)
+    G = a4
+    expected = []
+    for A in canonical_sets(G):
+        k, qk = A.size, len(naive_quotient(G, A))
+        if 3 * qk < 5 * k:
+            continue
+        H = next((H for H in all_subgroups(G)
+                  if k <= 2 * H.order and 5 * k > 9 * H.order
+                  and any(set(A) <= set(H) | {G.mul[b][h] for h in H}
+                          for b in range(G.order) if b not in H)), None)
+        if H is not None:
+            expected.append((list(A), "sufficiency",
+                             f"two-coset hypotheses hold for a subgroup of order "
+                             f"{H.order} but 3|Q| = {3 * qk} is not below "
+                             f"5|A| = {5 * k}"))
+    assert expected
+    got = classification_census(G).violations
+    assert [(list(v.subset), v.kind, v.detail) for v in got] == expected
+
+
+def test_census_reports_small_sets_without_a_picture(monkeypatch, d4):
+    # a picture search that finds nothing must turn every small class into
+    # a necessity violation
+    monkeypatch.setattr(census, "_coset_picture", lambda *args: None)
+    expected = []
+    for A in canonical_sets(d4):
+        k, qk = A.size, len(naive_quotient(d4, A))
+        if 3 * qk < 5 * k:
+            expected.append((list(A), "necessity",
+                             f"3|Q| = {3 * qk} is below 5|A| = {5 * k} "
+                             "but neither coset picture applies"))
+    assert expected
+    got = classification_census(d4).violations
     assert [(list(v.subset), v.kind, v.detail) for v in got] == expected
 
 

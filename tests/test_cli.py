@@ -427,6 +427,50 @@ def test_output_file_in_a_missing_directory(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("verb", [
+    ["census", "--group", "cyclic 5"],
+    ["classify", "--group", "cyclic 5", "--set", "{0, 1}"],
+])
+@pytest.mark.parametrize("where, message", [
+    (lambda tmp: tmp / "no" / "such" / "out.txt", "is not an existing directory"),
+    (lambda tmp: tmp / "plain.txt" / "out.txt", "is not an existing directory"),
+    (lambda tmp: tmp, "is a directory"),
+])
+def test_unwritable_output_path_fails_before_the_verb_runs(
+        capsys, monkeypatch, tmp_path, verb, where, message):
+    # a missing parent, a parent that is a file, and a path that is a
+    # directory are refused before any handler runs: no report on stdout,
+    # no progress line on stderr, and the verb's own work never starts
+    (tmp_path / "plain.txt").write_text("")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verb ran")
+
+    monkeypatch.setattr(cli, "classification_census", refuse)
+    monkeypatch.setattr(cli, "classify", refuse)
+    code, out, err = run(capsys, [*verb, "--output", str(where(tmp_path))])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --output") and message in err
+    assert f"{verb[0]} " not in err  # no per-group progress line
+
+
+def test_output_write_errors_still_exit_2(capsys, monkeypatch, tmp_path):
+    # a path that passes the up-front check can still fail to open; the
+    # write-time error is reported after the report, with exit 2
+    target = tmp_path / "report.txt"
+
+    def fail_open(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(target))
+
+    monkeypatch.setattr("builtins.open", fail_open)
+    code, out, err = run(capsys, ["catalog", "--max-order", "4",
+                                  "--output", str(target)])
+    assert code == 2
+    assert "catalog: groups of order at most 4" in out
+    assert "Permission denied" in err
+
+
 # === golden reports ===
 
 

@@ -21,7 +21,16 @@ The summary of a series (``summarize``) gives, per workload and end-to-end
 metric: each side's median and quartiles (``statistics.quantiles``, n=4),
 the pairs in which the change is better, the relative change of the
 medians, and the median per-pair ratio change/parent.  Which direction is
-better comes from ``BENCHMARK.json``.
+better comes from ``BENCHMARK.json``, and so does each metric's bound, which
+the verdicts read:
+
+* ``gain_shown``: the change is better in at least 9/10 of the pairs, and
+  its median is better than the parent's by more than the parent's q3 - q1.
+* ``vs_bound``: "worse" when the change's median is worse than the
+  parent's by more than the bound (a share of the parent's median);
+  otherwise "unresolved" when the parent's q3 - q1 exceeds that share,
+  unless every change run is better than every parent run; otherwise
+  "within".
 """
 
 from __future__ import annotations
@@ -52,11 +61,37 @@ def _value(result: dict | None, metric: str) -> float | None:
     return result["metrics"][metric]["value"]
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def _verdicts(parent: list[float], change: list[float], wins: int,
+              direction: str, bound: float) -> dict:
+    """``gain_shown`` and ``vs_bound`` of one metric, as the module
+    docstring defines them, for paired runs in which the change won
+    ``wins``."""
+    p = _quartiles(parent)
+    spread = p["q3"] - p["q1"]
+    if direction == "lower":
+        gain = p["median"] - statistics.median(change)
+        all_better = max(change) < min(parent)
+    else:
+        gain = statistics.median(change) - p["median"]
+        all_better = min(change) > max(parent)
+    if -gain > bound * p["median"]:
+        vs_bound = "worse"
+    elif spread > bound * p["median"] and not all_better:
+        vs_bound = "unresolved"
+    else:
+        vs_bound = "within"
+    return {"gain_shown": 10 * wins >= 9 * len(parent) and gain > spread,
+            "vs_bound": vs_bound}
+
+
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per workload, in order of first appearance: for each metric in
     ``better`` ("lower" or "higher"), both sides' medians and quartiles and
     the pairwise comparison, plus whether every run of the workload read
-    ``correct: true`` and ``failed: 0``.
+    ``correct: true`` and ``failed: 0``.  With ``bounds``, which maps each
+    metric to its ``BENCHMARK.json`` bound, every metric also gets the
+    verdicts ``gain_shown`` and ``vs_bound``.
 
     A run entry is ``{"round", "workload", "side", "result"}``, with side
     "parent" or "change" and result the run's JSON line, or None if it
@@ -87,6 +122,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                                   / statistics.median(parent) - 1),
                 "median_pair_ratio": statistics.median(c / p for p, c in pairs),
             }
+            if bounds is not None:
+                entry[metric].update(_verdicts(parent, change, wins, direction,
+                                               bounds[metric]))
         entry["all_correct_and_none_failed"] = all(
             r is not None and r["correct"] and r["failed"] == 0 for r in results)
         summary[workload] = entry
@@ -156,6 +194,7 @@ def main(argv=None) -> int:
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         benchmark = json.load(fh)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     trees = {"parent": _unpack(parent, args.workdir),
              "change": _unpack(change, args.workdir)}
@@ -175,7 +214,10 @@ def main(argv=None) -> int:
             f"{', '.join(WORKLOADS)} in that order every round; summaries "
             "give per-side medians and quartiles (statistics.quantiles, n=4), "
             "the pairs in which the change is better, the relative change of "
-            "the medians and the median per-pair ratio change/parent"),
+            "the medians, the median per-pair ratio change/parent, and the "
+            "verdicts gain_shown (better in at least 9/10 of pairs and by "
+            "more than the parent's q3 - q1) and vs_bound (worse, unresolved "
+            "or within the metric's bound in BENCHMARK.json)"),
         "series": [],
     }
     for seed, rounds in args.series:
@@ -190,7 +232,7 @@ def main(argv=None) -> int:
                     series["runs"].append({"round": rnd, "seed": seed,
                                            "workload": workload, "side": side,
                                            "result": result})
-                    series["summary"] = summarize(series["runs"], better)
+                    series["summary"] = summarize(series["runs"], better, bounds)
                     args.out.write_text(json.dumps(doc, indent=1) + "\n",
                                         encoding="utf-8")
                     wall = _value(result, "wall_s")
