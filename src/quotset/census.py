@@ -102,10 +102,12 @@ __all__ = [
 DEFAULT_CENSUS_CAP = 24
 
 #: No override reaches past this.  By extrapolation, its 2^31 masks take
-#: about 5-7 minutes at jobs 2 at the 5.3-6.7 M masks/s that every run of
-#: the order-24 census-deep benchmark measured in BENCH_13.json, on a shared
-#: 2-core host whose speed varies about 2x.  One order-32 census has run on
-#: that host: `dihedral 16` took 258 s at jobs 2 (8.3 M masks/s).
+#: about 5-6 minutes at jobs 2 at the 6.1-7.6 M masks/s between the
+#: quartiles of the order-24 census-deep benchmark's runs in BENCH_15.json
+#: (seeds 0 and 7), on a shared 2-core host whose speed varies about 2x.
+#: Order-32 censuses have run on that host: `dihedral 16` took 209 s at
+#: jobs 2 (10.3 M masks/s), and 258 s before the picture search was limited
+#: to sets inside a candidate container.
 HARD_CENSUS_CAP = 32
 
 #: Groups below this order are swept in process at every job count: there a
