@@ -16,9 +16,10 @@ as its least element, so the picture search takes a = e and reads the
 coset eH = H: a set can meet a picture's hypotheses only inside a
 container, H for a single-coset candidate of its size or H | gH for a
 two-coset candidate of its size.  Only the sets inside a container reach
-the search (``_picture_prefilter``), about one per small set, and a set
-outside them all has no picture.  A small set costs that search and one run
-of the clause evaluator that ``verify_structure`` formats.
+the search, about one per small set: the sizes that G serves, and the
+masks in one set built per partition (``_container_masks``).  A set outside
+them all has no picture.  A small set costs that search and one run of the
+clause evaluator that ``verify_structure`` formats.
 ``structure_scan`` does the same for the bounded-representative structure
 conjecture: every canonical set whose quotient set is within the range for
 ``max_reps`` representatives must admit a witness subgroup.  The scan only
@@ -68,6 +69,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations, repeat
 from operator import or_
 
 from .classify import (
@@ -401,9 +403,9 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, part: int, parts: int,
     visited[0] += count
 
 
-def _picture_prefilter(cands: dict, w: int):
-    """``maybe(block)``: the bitset of the odd chunk-0 values c0 for which
-    the mask ``block << w | c0`` lies in a container that serves its size.
+def _container_masks(cands: dict, order: int) -> set:
+    """The masks that hold the identity and lie in a proper container of a
+    size that container serves.
 
     ``cands`` maps each size k to its ``_picture_candidates``.  Every mask
     the kernel yields holds the identity, its least element, so
@@ -412,12 +414,9 @@ def _picture_prefilter(cands: dict, w: int):
     inside H | gH, for a two-coset candidate H of its size and a coset
     gH != H.  Those are the containers, each with the sizes it serves.  A
     set outside all of them has no picture; the window test stays in the
-    search.
-
-    ``pairs1[c1]`` and ``pairs2[c2]`` are the containers whose high chunks
-    hold c1 and c2.  The c0 inside a container's chunk 0 that complete high
-    chunks of s elements to one of its sizes are gathered on first use, per
-    container and s.
+    search.  G, the one container that is not proper, serves exactly the
+    sizes k with 5k > 3|G| (an index-2 H | gH = G serves only k > 0.9|G|),
+    so the caller tests those sizes and the set leaves G out.
     """
     sizes: dict[int, set] = {}  # container mask -> the sizes it serves
     for k, (single, double) in cands.items():
@@ -427,57 +426,29 @@ def _picture_prefilter(cands: dict, w: int):
             for g in dict.fromkeys(cosets):  # each left coset once
                 if g != H.bits:
                     sizes.setdefault(H.bits | g, set()).add(k)
-    boxes = list(sizes.items())
-    fw = (1 << w) - 1
-    full = (1 << len(boxes)) - 1
-    pairs1, pairs2 = (  # all containers but those that lack an element c marks
-        [full ^ lack for lack in _subset_ors(
-            [sum(1 << i for i, (v, _) in enumerate(boxes) if not v >> x & 1)
-             for x in range(base, base + w)], 0)]
-        for base in (w, 2 * w))
-    stride = 2 * w + 1
-    fits = [None] * (len(boxes) * stride)  # entry i * stride + s
-
-    def maybe(block: int) -> int:
-        s = block.bit_count()
-        live = pairs1[block & fw] & pairs2[block >> w]
-        bits = 0
-        while live:
-            low = live & -live
-            live ^= low
-            i = low.bit_length() - 1
-            got = fits[i * stride + s]
-            if got is None:
-                v0, ks = boxes[i][0] & fw, boxes[i][1]
-                got, c0 = 0, v0
-                while c0:  # the odd values inside v0, by submask descent
-                    if c0 & 1 and s + c0.bit_count() in ks:
-                        got |= 1 << c0
-                    c0 = c0 - 1 & v0
-                fits[i * stride + s] = got
-            bits |= got
-        return bits
-
-    return maybe
+    sizes.pop((1 << order) - 1, None)  # G, whose sizes the caller tests
+    inside = set()
+    for box, ks in sizes.items():
+        bits = [1 << x for x in range(1, order) if box >> x & 1]
+        for k in ks:
+            inside.update(map(sum, combinations(bits, k - 1), repeat(1)))
+    return inside
 
 
 def _census_partition(G: GroupTable, subgroups, lo, hi, part, parts):
     """Sweep the subsets of partition ``part`` of ``parts``.
 
-    The picture search runs only on the masks that ``_picture_prefilter``
-    places in a container of their size, read once per block of masks that
-    share their high chunks.  A mask outside every container has no
-    picture: it holds the identity, so the search would take a = e and
-    cosets[a] = H, and H, or H | gH, would have to hold it.
+    The picture search runs only on the masks in a container of their
+    size: G, for the sizes k with 5k > 3|G|, or a proper container in
+    ``_container_masks``.  A mask outside every container has no picture:
+    it holds the identity, so the search would take a = e and cosets[a] =
+    H, and H, or H | gH, would have to hold it.
     """
     order = G.order
     # picture candidates, for the sizes that have any
     cands = {k: c for k in range(lo, hi + 1)
              if any(c := _picture_candidates(G, subgroups, k))}
-    w = G.action_tables().width
-    fw = (1 << w) - 1
-    maybe = _picture_prefilter(cands, w)
-    block = fits = None
+    inside = _container_masks(cands, order)
 
     scanned = [0]
     classes = 0
@@ -495,10 +466,8 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, part, parts):
             row[0], row[1] = qk, m
         row[2] += order // stab
 
-        if m >> w != block:
-            block = m >> w
-            fits = maybe(block)
-        picture = _coset_picture(G, m, *cands[k]) if fits >> (m & fw) & 1 else None
+        picture = (_coset_picture(G, m, *cands[k])
+                   if 5 * k > 3 * order or m in inside else None)
         if 3 * qk >= 5 * k:
             # The set is not small, so no subgroup may satisfy either
             # picture's hypotheses.
@@ -543,8 +512,10 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
     that only the window test rules out), gets ``classify``'s picture
     search; a set outside every container cannot meet either picture's
     hypotheses, since its least element is the identity and the search
-    reads the coset eH = H.  A small set also gets the clause evaluator of
-    ``verify_structure``, which recomputes its quotient set.
+    reads the coset eH = H.  Each partition lists the sets inside a proper
+    container once, as a set of masks, and tests G's sizes by size alone.
+    A small set also gets the clause evaluator of ``verify_structure``,
+    which recomputes its quotient set.
     """
     start = time.perf_counter()
     check_sweep_cap(G.order, allow_big)

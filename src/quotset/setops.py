@@ -155,16 +155,6 @@ def rep_counts_quotient_mask(G: GroupTable, amask: int, bmask: int) -> list[int]
             zip(t0[ainv & cm], t1[ainv >> w & cm], t2[ainv >> 2 * w & cm])]
 
 
-def rep_counts_product_mask(G: GroupTable, amask: int, bmask: int) -> list[int]:
-    """counts[g] = number of pairs (a, b) in A x B with a*b = g."""
-    # a*b = g exactly when a lies in g inv(B), the entry inv(g) of inv(B)'s rows
-    t = G.action_tables()
-    w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.rows
-    binv = invert_mask(G, bmask)
-    r0, r1, r2 = t0[binv & cm], t1[binv >> w & cm], t2[binv >> 2 * w & cm]
-    return [((r0[x] | r1[x] | r2[x]) & amask).bit_count() for x in G.inv]
-
-
 def subgroup_closure_mask(G: GroupTable, mask: int) -> int:
     """Bitmask of the subgroup generated by the elements of ``mask``."""
     # A set S holding the identity lies inside inv(S)*S, which stays inside
@@ -234,7 +224,7 @@ def check_counting_bounds(G: GroupTable, A: ElemSet, B: ElemSet) -> CheckReport:
     pmask = product_mask(G, amask, bmask)
     psize = pmask.bit_count()
     need = asize + bmask.bit_count() - psize
-    pc = rep_counts_product_mask(G, amask, bmask)
+    pc = rep_counts_quotient_mask(G, invert_mask(G, amask), bmask)  # a*b = inv(a^-1)*b
     bad = next((g for g in ElemSet(G.order, pmask) if pc[g] < need), None)
     items.append(CheckItem(
         "kemperman_wehn", bad is None,

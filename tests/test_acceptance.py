@@ -30,8 +30,8 @@ from quotset.groups import build_group, catalog_specs
 from quotset.setops import (
     ElemSet,
     check_counting_bounds,
+    invert_mask,
     quotient_set,
-    rep_counts_product_mask,
     rep_counts_quotient_mask,
 )
 from quotset.subgroups import all_subgroups, check_coset_laws, ensure_subgroup
@@ -189,7 +189,7 @@ def test_acceptance_7_oracle_cross_check(accept, make_group):
             assert set(quotient_set(G, A)) == naive_quotient(G, a_raw)
             got = rep_counts_quotient_mask(G, A.bits, B.bits)
             assert got == naive_quotient_counts(G, a_raw, b_raw)
-            got = rep_counts_product_mask(G, A.bits, B.bits)
+            got = rep_counts_quotient_mask(G, invert_mask(G, A.bits), B.bits)
             assert got == naive_product_counts(G, a_raw, b_raw)
 
             subgroups = all_subgroups(G)

@@ -316,27 +316,30 @@ def test_classify_candidates_pick_the_same_picture(make_group):
                 assert picture is None
 
 
-@pytest.mark.parametrize("spec", catalog_specs(16))
-def test_picture_prefilter_keeps_every_set_with_a_picture(make_group, spec):
-    # the census searches for a picture only on the chunk-0 values in its
-    # block's maybe bitset, so every canonical mask with a picture must be
-    # in it, at one part and at two.  The filter only places sets in
-    # containers; the window test stays in the search.  In these groups it
-    # lets through exactly the masks with a picture, except in A4, where
-    # not-small sets inside some H | gH reach the search and fail the window
+@pytest.mark.parametrize("spec, sizes", [(spec, None) for spec in catalog_specs(16)]
+                         + [("dihedral 8", (3, 7))])
+def test_container_masks_keep_every_set_with_a_picture(make_group, spec, sizes):
+    # the census searches for a picture only on the masks of a size with
+    # 5k > 3|G| and on those in _container_masks, so every canonical mask
+    # with a picture must pass, at one part and at two.  The set is built
+    # from the census's candidates, so the sub-range case builds it from
+    # the sizes 3..7 alone.  The test only places sets in containers; the
+    # window test stays in the search.  In these groups it lets through
+    # exactly the masks with a picture, except in A4, where not-small sets
+    # inside some H | gH reach the search and fail the window
     G = make_group(spec)
     n = G.order
+    lo, hi = sizes or (1, n)
     subgroups = all_subgroups(G)
-    w = G.action_tables().width
-    cands = {k: _picture_candidates(G, subgroups, k) for k in range(1, n + 1)}
-    maybe = census._picture_prefilter({k: c for k, c in cands.items() if any(c)}, w)
+    cands = {k: _picture_candidates(G, subgroups, k) for k in range(lo, hi + 1)}
+    inside = census._container_masks({k: c for k, c in cands.items() if any(c)}, n)
     for parts in (1, 2):
         passed = pictured = 0
         rejected = []
         for part in range(parts):
-            for m, k, qmask, _ in _canonical_masks(G, 1, n, part, parts, [0]):
+            for m, k, qmask, _ in _canonical_masks(G, lo, hi, part, parts, [0]):
                 picture = _coset_picture(G, m, *cands[k])
-                kept = maybe(m >> w) >> (m & (1 << w) - 1) & 1
+                kept = 5 * k > 3 * n or m in inside
                 assert kept or picture is None, m
                 passed += kept
                 pictured += picture is not None
