@@ -28,8 +28,10 @@ the search: A meets G in one coset, so G's entry depends only on |A|, and
 where it exists |A| > |G|/2 forces Q = G.  Its clauses, the search's own
 (``_witness_clauses``), are therefore evaluated once per set size.  G
 witnesses a set exactly when Q = G and (n+1)|G| < (2n+1)|A|, which is most
-in-range sets; only the others run ``find_structure_witness``, over the
-proper subgroups.
+in-range sets.  Every other set with |Q| < 2|A| runs one walk over the
+proper subgroups (``_witness_and_hypotheses``, which
+``find_structure_witness`` runs over every subgroup) that finds its witness
+and decides the witness hypotheses together.
 
 Both sweeps read one kernel, ``_canonical_masks``, which decides the
 canonical test and builds the quotient set a block of masks at a time.  It
@@ -617,17 +619,14 @@ def _hypothesis_subgroups(G: GroupTable, amask: int, n: int, cands):
     (2n+1)|A| > (n+1)(2mc-1)|H|.  ``cands`` holds ``(H, left_cosets(G, H))``
     pairs.
 
-    ``rep_bits`` marks A0, the smallest element of A in each met coset.  The
-    rest depends only on H and A0, so it is computed once per pair and kept
-    in ``G._rep_products``: ``cover`` is the coset cover A0 H, ``sandwich``
-    is H A0^-1 A0 H, and ``window`` is the window-shape clause.  That is
-    None when A0 lies in one left coset of the normalizer of H (the
-    normalizer shape holds), and otherwise whether the sandwich collapses to
-    (2mc-1)|H| elements; so a structural shape holds exactly when
-    ``window`` is not False.
+    ``rep_bits`` marks A0, the smallest element of A in each met coset,
+    ``cover`` is the coset cover A0 H, ``sandwich`` is H A0^-1 A0 H, and
+    ``window`` is the window-shape clause.  That is None when A0 lies in one
+    left coset of the normalizer of H (the normalizer shape holds), and
+    otherwise whether the sandwich collapses to (2mc-1)|H| elements; so a
+    structural shape holds exactly when ``window`` is not False.
     """
     k = amask.bit_count()
-    memo = G._rep_products
     for H, cosets in cands:
         reps = []
         rep_bits = 0
@@ -640,16 +639,12 @@ def _hypothesis_subgroups(G: GroupTable, amask: int, n: int, cands):
         mc = len(reps)
         if remaining or (2 * n + 1) * k <= (n + 1) * (2 * mc - 1) * H.order:
             continue
-        entry = memo.get((H.bits, rep_bits))
-        if entry is None:
-            sandwich = _sandwich(G, H, rep_bits)
-            norm_bits = normalizer(G, H).bits
-            x0inv = G.inv[reps[0]]
-            window = (None if all(norm_bits >> G.mul[x0inv][x] & 1 for x in reps[1:])
-                      else sandwich.bit_count() == (2 * mc - 1) * H.order)
-            entry = memo[H.bits, rep_bits] = (
-                product_mask(G, rep_bits, H.bits), sandwich, window)
-        yield H, mc, rep_bits, *entry
+        sandwich = _sandwich(G, H, rep_bits)
+        norm_bits = normalizer(G, H).bits
+        x0inv = G.inv[reps[0]]
+        window = (None if all(norm_bits >> G.mul[x0inv][x] & 1 for x in reps[1:])
+                  else sandwich.bit_count() == (2 * mc - 1) * H.order)
+        yield H, mc, rep_bits, product_mask(G, rep_bits, H.bits), sandwich, window
 
 
 def _sandwich(G: GroupTable, H: Subgroup, rep_bits: int) -> int:
@@ -658,9 +653,8 @@ def _sandwich(G: GroupTable, H: Subgroup, rep_bits: int) -> int:
                         product_mask(G, quotient_mask(G, rep_bits), H.bits))
 
 
-def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int, *,
-                           _qmask: int | None = None,
-                           _candidates=None) -> StructureWitness | None:
+def find_structure_witness(G: GroupTable, A: ElemSet,
+                           max_reps: int) -> StructureWitness | None:
     """Search for a subgroup witnessing the bounded-representative structure.
 
     A witness subgroup H admits at most ``max_reps`` met left cosets and
@@ -679,15 +673,9 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int, *,
     rep multiplies the sandwich by subgroup factors that H absorbs), so the
     minimal representatives lose nothing.
 
-    ``_witness_clauses`` evaluates each clause once per candidate subgroup,
-    as a plain bool, from the products that ``_hypothesis_subgroups``
-    memoises per (H, A0); the first subgroup with no failed clause is the
+    Every subgroup of G is tried, through the scan's per-set search
+    ``_witness_and_hypotheses``; the first one with no failed clause is the
     witness, and its report is formatted only when ``checks`` is read.
-
-    ``_qmask`` and ``_candidates`` are for the scan, which already holds the
-    quotient set of A and the ``(H, left_cosets(G, H))`` pairs to try in
-    place of every subgroup of G; both are trusted as given.  The scan has
-    already tried G itself, so its candidates hold only proper subgroups.
     """
     if A.n != G.order:
         raise ValueError(f"set is over order {A.n}, group has order {G.order}")
@@ -697,19 +685,16 @@ def find_structure_witness(G: GroupTable, A: ElemSet, max_reps: int, *,
     n = max_reps
     if n < 1:
         raise ValueError(f"max_reps must be at least 1, got {n}")
-    if _candidates is None:
-        _candidates = ((H, left_cosets(G, H)) for H in all_subgroups(G))
-    k = amask.bit_count()
-    qmask = quotient_mask(G, amask) if _qmask is None else _qmask
-
-    for entry in _hypothesis_subgroups(G, amask, n, _candidates):
-        passed = _witness_clauses(amask, qmask, n, entry)
-        if False not in passed:
-            H, _, rep_bits, cover, sandwich, _ = entry
-            return StructureWitness(H, ElemSet(G.order, rep_bits), n, k,
-                                    qmask.bit_count(), cover.bit_count(),
-                                    sandwich.bit_count(), passed)
-    return None
+    qmask = quotient_mask(G, amask)
+    entry, _ = _witness_and_hypotheses(
+        G, amask, qmask, n, ((H, left_cosets(G, H)) for H in all_subgroups(G)))
+    if entry is None:
+        return None
+    H, _, rep_bits, cover, sandwich, _ = entry
+    return StructureWitness(H, ElemSet(G.order, rep_bits), n, amask.bit_count(),
+                            qmask.bit_count(), cover.bit_count(),
+                            sandwich.bit_count(),
+                            _witness_clauses(amask, qmask, n, entry))
 
 
 def _witness_clauses(amask: int, qmask: int, n: int, entry) -> tuple:
@@ -733,17 +718,32 @@ def _witness_clauses(amask: int, qmask: int, n: int, entry) -> tuple:
     )
 
 
-def _structure_hypotheses_exist(G: GroupTable, cands, amask: int, n: int) -> bool:
-    """Whether any of the ``(H, left cosets)`` pairs satisfies the witness
-    hypotheses for this set.
+def _witness_and_hypotheses(G: GroupTable, amask: int, qmask: int, n: int,
+                            cands) -> tuple:
+    """``(entry, hypotheses)`` for set A (``amask``, with quotient set
+    ``qmask``) at n = max_reps, over the ``(H, left_cosets(G, H))`` pairs
+    ``cands``, in one walk of ``_hypothesis_subgroups``.
 
-    Hypotheses means the forward-direction inputs only: at most n met
-    cosets, the density bound, and one of the two structural shapes
-    (normalizer-sharing representatives, or the sandwich H A0^-1 A0 H
-    collapsing to (2|A0|-1)|H| elements).
+    ``entry`` is the first entry with no failed ``_witness_clauses``, or
+    None.  ``hypotheses`` says whether some entry meets the witness
+    hypotheses: at most n met cosets, the density bound and one of the two
+    structural shapes, that is a ``window`` that is not False.  A witness
+    meets them too, so the walk stops at it.  A set outside the range
+    (n+1)|Q| < (2n+1)|A| has no witness, since a witness has
+    |Q| = (2|A0|-1)|H| and its entry the density bound
+    (2n+1)|A| > (n+1)(2|A0|-1)|H|; there the walk stops at the first entry
+    that meets the hypotheses.
     """
-    return any(window is not False
-               for *_, window in _hypothesis_subgroups(G, amask, n, cands))
+    in_range = (n + 1) * qmask.bit_count() < (2 * n + 1) * amask.bit_count()
+    hypotheses = False
+    for entry in _hypothesis_subgroups(G, amask, n, cands):
+        if in_range:
+            if False not in _witness_clauses(amask, qmask, n, entry):
+                return entry, True
+            hypotheses = hypotheses or entry[-1] is not False
+        elif entry[-1] is not False:
+            return None, True
+    return None, hypotheses
 
 
 @dataclass(frozen=True, slots=True)
@@ -784,14 +784,14 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
     order = G.order
     n = max_reps
 
-    # Both searches below accept a subgroup H only if A meets mc <= n left
-    # cosets of H and (2n+1)k > (n+1)(2mc-1)|H|, for k = |A|.  A meets at
-    # least c = ceil(k/|H|) cosets and (2mc-1)|H| grows with mc, so H can
-    # pass only when (n+1)(2c-1)|H| < (2n+1)k.  (That also gives c <= n,
-    # since k <= c|H|.)  The other subgroups fail for every set of size k
-    # and are dropped up front.
+    # The search accepts a subgroup H only if A meets mc <= n left cosets of
+    # H and (2n+1)k > (n+1)(2mc-1)|H|, for k = |A|.  A meets at least
+    # c = ceil(k/|H|) cosets and (2mc-1)|H| grows with mc, so H can pass only
+    # when (n+1)(2c-1)|H| < (2n+1)k.  (That also gives c <= n, since
+    # k <= c|H|.)  The other subgroups fail for every set of size k and are
+    # dropped up front.
     #
-    # The whole group G is tried first, outside the searches.  A meets it in
+    # The whole group G is tried first, outside the search.  A meets it in
     # one coset, with A0 = {e}, so its entry (mc = 1, cover = sandwich = G,
     # window None) is the same for every set of size k, and it exists only
     # when (2n+1)k > (n+1)|G|.  Then k > |G|/2, so A meets every translate
@@ -800,10 +800,9 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
     # k smallest ids with Q = G, and whole_ok[k] says whether G is a witness
     # for every set of size k.  Its last clause is the entry's own density
     # bound, so whole_ok[k] holds whenever the entry exists, and a set G
-    # satisfies the hypotheses for is always in range and witnessed: the
-    # hypothesis check never needs G.  The searches then try only the proper
-    # subgroups; whether a witness or a hypothesis exists does not depend on
-    # the order the subgroups are tried in.
+    # satisfies the hypotheses for is always in range and witnessed.  The
+    # search then tries only the proper subgroups; whether a witness or a
+    # hypothesis exists does not depend on the order they are tried in.
     whole = [(subgroups[-1], left_cosets(G, subgroups[-1]))]  # G sorts last
     full = (1 << order) - 1
     whole_ok = [False] + [
@@ -825,25 +824,20 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
     for m, k, qmask, _ in _canonical_masks(G, 1, order, part, parts, scanned):
         classes += 1
         qk = qmask.bit_count()
-
         in_range = (n + 1) * qk < (2 * n + 1) * k
-        if in_range:
-            in_range_count += 1
-            if (whole_ok[k]
-                    or find_structure_witness(G, ElemSet(order, m), n, _qmask=qmask,
-                                              _candidates=cands[k]) is not None):
-                # A witness passed mc <= n, the density bound and one of the
-                # two shapes, which are exactly the hypotheses; and in range
-                # implies |Q| < 2|A|.  So the set counts as checked, and the
-                # hypothesis search would only repeat the witness search.
-                witnesses += 1
-                checked += 1
-                continue
+        in_range_count += in_range
+        # in range implies |Q| < 2|A|; a set with neither is not checked
+        if 2 * k <= qk:
+            continue
+        witness, hypotheses = ((True, True) if whole_ok[k] else
+                               _witness_and_hypotheses(G, m, qmask, n, cands[k]))
+        checked += hypotheses
+        if witness:
+            witnesses += 1
+        elif in_range:
             counterexamples.append(m)
-        if 2 * k > qk and _structure_hypotheses_exist(G, cands[k], m, n):
-            checked += 1
-            if not in_range:
-                suff_failures.append(m)
+        elif hypotheses:
+            suff_failures.append(m)
 
     return {"scanned": scanned[0], "classes": classes, "in_range": in_range_count,
             "witnesses": witnesses, "counterexamples": counterexamples,

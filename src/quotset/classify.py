@@ -46,7 +46,6 @@ from .setops import (
     ElemSet,
     invert_mask,
     is_subgroup_mask,
-    left_translate_mask,
     product_mask,
     quotient_mask,
     rep_counts_quotient_mask,
@@ -304,13 +303,13 @@ def check_sufficiency(G: GroupTable, H: Subgroup, a: int, b: int,
     if wsize == 2 * h and 5 * k > 9 * h:
         items.append(CheckItem("direct_smallness", 3 * qk < 5 * k,
                                f"3|Q| = {3 * qk}, 5|A| = {5 * k}"))
-        x = left_translate_mask(G, G.inv[a], amask & cosets[a])
-        y = left_translate_mask(G, G.inv[b], amask & cosets[b])
+        x = product_mask(G, 1 << G.inv[a], amask & cosets[a])
+        y = product_mask(G, 1 << G.inv[b], amask & cosets[b])
         xinv, yinv = invert_mask(G, x), invert_mask(G, y)
         expected = (product_mask(G, xinv, x)
                     | product_mask(G, yinv, y)
-                    | product_mask(G, xinv, left_translate_mask(G, d, y))
-                    | product_mask(G, yinv, left_translate_mask(G, G.inv[d], x)))
+                    | product_mask(G, xinv, product_mask(G, 1 << d, y))
+                    | product_mask(G, yinv, product_mask(G, 1 << G.inv[d], x)))
         items.append(CheckItem("direct_quotient_formula", expected == qmask,
                                "" if expected == qmask else
                                "combined coset products differ from Q"))

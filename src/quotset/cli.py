@@ -154,7 +154,9 @@ def _sweep_groups(args, sizes=None) -> list[GroupTable]:
     """Build every selected group and check it against the caps and any
     ``--sizes`` range before any sweep runs, so a group that would fail
     fails the command up front.  Catalog groups are checked against the
-    caps by their listed orders, before any of them is built."""
+    caps by their listed orders, before any of them is built, and with
+    ``--sizes`` the catalog leaves out the groups whose order is below the
+    range's upper end."""
     if args.group is not None:
         specs = [args.group]
     elif args.groups_file is not None:
@@ -164,6 +166,11 @@ def _sweep_groups(args, sizes=None) -> list[GroupTable]:
             raise ValueError(f"no group specs found in {args.groups_file}")
     else:
         entries = _catalog(args.max_order)
+        if sizes is not None:
+            entries = [(order, spec) for order, spec in entries if order >= sizes[1]]
+            if not entries:
+                raise ValueError(f"no catalog group of order at most "
+                                 f"{args.max_order} holds sets of size {sizes[1]}")
         for order, _ in entries:
             check_sweep_cap(order, args.allow_big)
         specs = [spec for _, spec in entries]

@@ -137,20 +137,13 @@ class GroupTable:
 
     Treat instances as read-only; the private fields only cache derived data
     (action tables, subgroup lists, per-subgroup normalizers and left-coset
-    tables, and the witness search's per-(subgroup, representatives)
-    products) and rebuilding them is always idempotent.  ``_cosets`` is the
+    tables) and rebuilding them is always idempotent.  ``_cosets`` is the
     one source of cosets: ``subgroups.left_cosets`` fills it, and right
     cosets and double cosets are read from it.
-
-    ``_rep_products`` maps ``(H.bits, rep_bits)`` to the coset cover A0*H,
-    the sandwich H A0^-1 A0 H and the window-shape clause of the structure
-    witness search; ``census._hypothesis_subgroups`` fills it and documents
-    the entries.
     """
 
     __slots__ = ("order", "mul", "inv", "identity", "element_names", "spec",
-                 "_tables", "_normalizers", "_cosets", "_rep_products",
-                 "_subgroups")
+                 "_tables", "_normalizers", "_cosets", "_subgroups")
 
     def __init__(self, order, mul, inv, element_names, spec):
         self.order = order
@@ -162,7 +155,6 @@ class GroupTable:
         self._tables = None
         self._normalizers = {}
         self._cosets = {}
-        self._rep_products = {}
         self._subgroups = None
 
     def name_of(self, x: int) -> str:

@@ -98,13 +98,6 @@ def parse_set_literal(text: str, n: int) -> ElemSet:
 # mask kernels
 
 
-def left_translate_mask(G: GroupTable, a: int, mask: int) -> int:
-    t = G.action_tables()
-    w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.rows
-    a = G.inv[a]
-    return t0[mask & cm][a] | t1[mask >> w & cm][a] | t2[mask >> 2 * w & cm][a]
-
-
 def invert_mask(G: GroupTable, mask: int) -> int:
     t = G.action_tables()
     w, cm, (i0, i1, i2) = t.width, t.chunk_mask, t.invert

@@ -19,21 +19,19 @@ from quotset.census import (
     DEFAULT_CENSUS_CAP,
     HARD_CENSUS_CAP,
     _canonical_masks,
-    _sandwich,
-    _structure_hypotheses_exist,
+    _hypothesis_subgroups,
     classification_census,
     find_structure_witness,
     structure_scan,
 )
 from quotset.classify import ClassKind, _coset_picture, _picture_candidates, classify
-from quotset.groups import ALTERNATING4_SPEC, build_group, catalog_specs
+from quotset.groups import ALTERNATING4_SPEC, build_group, catalog_entries, catalog_specs
 from quotset.setops import (
     ElemSet,
-    product_mask,
     quotient_mask,
     quotient_set,
 )
-from quotset.subgroups import all_subgroups, ensure_subgroup, left_cosets, normalizer
+from quotset.subgroups import all_subgroups, ensure_subgroup, left_cosets
 
 from oracles import (
     naive_canonical,
@@ -649,8 +647,9 @@ def test_scan_in_range_count_matches_brute_force(s3):
 
 
 def _unpruned_scan_counts(G, n):
-    """The scan's counts recounted set by set, every subgroup tried and both
-    searches run on every set they apply to."""
+    """The scan's counts recounted set by set, every subgroup tried, and the
+    witness search and a full hypothesis walk run apart on every set they
+    apply to."""
     cands = [(H, left_cosets(G, H)) for H in all_subgroups(G)]
     in_range = witnesses = checked = 0
     counterexamples, failures = [], []
@@ -663,32 +662,44 @@ def _unpruned_scan_counts(G, n):
                 witnesses += 1
             else:
                 counterexamples.append(A)
-        if 2 * k > qk and _structure_hypotheses_exist(G, cands, A.bits, n):
+        if 2 * k > qk and any(window is not False for *_, window in
+                              _hypothesis_subgroups(G, A.bits, n, cands)):
             checked += 1
             if not hit:
                 failures.append(A)
     return in_range, witnesses, checked, counterexamples, failures
 
 
+def _assert_scan_matches_the_recount(G, n):
+    s = structure_scan(G, n)
+    got = (s.in_range, s.witnesses_found, s.sufficiency_checked,
+           list(s.counterexamples), list(s.sufficiency_failures))
+    assert got == _unpruned_scan_counts(G, n), (G.spec, n)
+
+
 def test_scan_pruning_loses_nothing(make_group):
     # the scan tries only the subgroups that could pass the density bound
-    # for each set size, and skips the hypothesis search after a witness;
-    # the recount runs on a freshly built group, so it reads none of the
-    # products the scan memoised
+    # for each set size, decides G by set size alone, and stops each set's
+    # walk at its witness, or outside the range at its first hypothesis
     for spec in catalog_specs(12):
-        G = make_group(spec)
         for n in (1, 2, 3, 4):
-            s = structure_scan(G, n)
-            got = (s.in_range, s.witnesses_found, s.sufficiency_checked,
-                   list(s.counterexamples), list(s.sufficiency_failures))
-            assert got == _unpruned_scan_counts(build_group(spec), n), (spec, n)
+            _assert_scan_matches_the_recount(make_group(spec), n)
+
+
+# about 1.8 s per order-16 group
+@pytest.mark.extended
+@pytest.mark.parametrize("spec", [spec for order, spec in catalog_entries(16)
+                                  if order >= 13])
+def test_scan_pruning_loses_nothing_at_orders_13_to_16(make_group, spec):
+    for n in (1, 2, 3, 4):
+        _assert_scan_matches_the_recount(make_group(spec), n)
 
 
 def test_whole_group_decides_exactly_the_sets_it_witnesses(monkeypatch):
     # with the subgroup search switched off, the scan's witnesses are the
     # ones the whole group G gives: the in-range canonical sets with Q = G
     # and (n+1)|G| < (2n+1)|A|, counted by the oracles
-    monkeypatch.setattr(census, "find_structure_witness", lambda *a, **kw: None)
+    monkeypatch.setattr(census, "_witness_and_hypotheses", lambda *a: (None, False))
     for spec in catalog_specs(12):
         G = build_group(spec)
         sets = [(len(A), len(naive_quotient(G, A)))
@@ -698,27 +709,6 @@ def test_whole_group_decides_exactly_the_sets_it_witnesses(monkeypatch):
                            if (n + 1) * q < (2 * n + 1) * k
                            and q == G.order and (n + 1) * G.order < (2 * n + 1) * k)
             assert structure_scan(G, n).witnesses_found == expected, (spec, n)
-
-
-def test_memoised_rep_products_match_a_fresh_recomputation():
-    # every (subgroup, representatives) entry a scan leaves on the group
-    # equals the products and window clause recomputed on a fresh group
-    for spec in catalog_specs(12):
-        G = build_group(spec)
-        structure_scan(G, 3)
-        fresh = build_group(spec)
-        assert G._rep_products, spec
-        for (hbits, rep_bits), (cover, sandwich, window) in G._rep_products.items():
-            H = ensure_subgroup(fresh, ElemSet(G.order, hbits))
-            reps = list(ElemSet(G.order, rep_bits))
-            assert cover == product_mask(fresh, rep_bits, hbits)
-            assert sandwich == _sandwich(fresh, H, rep_bits)
-            norm = normalizer(fresh, H)
-            x0inv = fresh.inv[reps[0]]
-            if all(fresh.mul[x0inv][x] in norm for x in reps):
-                assert window is None
-            else:
-                assert window is (sandwich.bit_count() == (2 * len(reps) - 1) * H.order)
 
 
 def test_scan_is_deterministic_across_jobs(c12, monkeypatch):

@@ -26,7 +26,7 @@ from quotset.classify import (
 )
 from quotset.cli import main
 from quotset.groups import build_group, catalog_specs
-from quotset.setops import ElemSet, left_translate_mask, quotient_set
+from quotset.setops import ElemSet, product_mask, quotient_set
 from quotset.subgroups import all_subgroups, ensure_subgroup
 
 from oracles import (
@@ -164,7 +164,7 @@ def test_classification_is_translation_covariant(d4):
     A = ElemSet.from_elements(8, [0, 1, 4, 5])
     base = classify(d4, A)
     for g in range(8):
-        t = ElemSet(8, left_translate_mask(d4, g, A.bits))
+        t = ElemSet(8, product_mask(d4, 1 << g, A.bits))
         r = classify(d4, t)
         assert r.kind is base.kind
         assert r.subgroup.order == base.subgroup.order
@@ -318,7 +318,7 @@ def test_sufficiency_both_routes_skip_when_hypotheses_fail(s4):
         if found:
             break
     H, d = found
-    A = ElemSet(24, H.bits | left_translate_mask(s4, d, H.bits))
+    A = ElemSet(24, H.bits | product_mask(s4, 1 << d, H.bits))
     assert quotient_set(s4, A).size == 10
     report = check_sufficiency(s4, H, 0, d, A)
     assert _status(report) == [

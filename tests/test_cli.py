@@ -12,7 +12,7 @@ import pytest
 
 from quotset import cli
 from quotset.cli import main
-from quotset.groups import build_group, catalog_specs
+from quotset.groups import build_group, catalog_entries, catalog_specs
 
 
 def run(capsys, argv):
@@ -236,6 +236,25 @@ def test_sizes_range_is_checked_for_every_group_before_sweeping(capsys, tmp_path
     assert out == ""
     assert "1 <= lo <= hi <= 4" in err
     assert "census " not in err  # no per-group progress line
+
+
+def test_sizes_range_leaves_out_catalog_groups_too_small_for_it(capsys):
+    code, out, _ = run(capsys, ["census", "--max-order", "8", "--sizes", "3..5",
+                                "--format", "json"])
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [rep["group"] for rep in reports] == [
+        spec for order, spec in catalog_entries(8) if order >= 5]
+    for rep in reports:
+        assert rep["order"] >= 5
+        assert rep["sizes"] == {"lo": 3, "hi": 5}
+
+
+def test_sizes_range_no_catalog_group_can_hold_is_refused(capsys):
+    code, out, err = run(capsys, ["census", "--max-order", "4", "--sizes", "3..5"])
+    assert code == 2
+    assert out == ""
+    assert "no catalog group of order at most 4 holds sets of size 5" in err
 
 
 # === conjecture-scan ===
@@ -485,6 +504,10 @@ def test_output_write_errors_still_exit_2(capsys, monkeypatch, tmp_path):
      "5e584bba6e1e36f3e5047a40148c2a90c2febe4a593a49dba0449a40519a279e"),
     (["conjecture-scan", "--max-order", "16", "--n", "3", "--format", "json"],
      "1297da09eb73ec1c7235c782db4566d2a8d9376dbcabb528a15174536a5894be"),
+    (["conjecture-scan", "--max-order", "16", "--n", "1", "--format", "json"],
+     "a40cd189e7858d9cbcc6a8b6bbd0a0c1b4bf2d9ee4207adb99da1fcaadc000ed"),
+    (["conjecture-scan", "--max-order", "16", "--n", "4", "--format", "json"],
+     "d4e6199c8e808b3840b0691def89833a0929551bea53573f1fe8985cb61bb738"),
     # the order-16 reports again at two jobs, with the same digests
     (["census", "--max-order", "16", "--format", "json", "--jobs", "2"],
      "5e584bba6e1e36f3e5047a40148c2a90c2febe4a593a49dba0449a40519a279e"),
