@@ -20,6 +20,7 @@ from quotset.census import (
     HARD_CENSUS_CAP,
     _canonical_masks,
     _hypothesis_subgroups,
+    _witness_and_hypotheses,
     classification_census,
     find_structure_witness,
     structure_scan,
@@ -770,6 +771,26 @@ def test_witness_for_the_fused_set(d4):
 
 def test_no_witness_for_a_spread_set(c7):
     assert find_structure_witness(c7, ElemSet.from_elements(7, [0, 1, 3]), 2) is None
+
+
+def test_one_walk_reports_the_hypotheses_without_a_witness(c7, c12):
+    # A = H | 1H for H = {0, 4, 8} meets the hypotheses at n = 2.  Given a
+    # quotient set out of range, or one in range that is not the sandwich,
+    # the walk finds no witness but still reports the hypotheses, the two
+    # cases a sufficiency failure and a counterexample would take
+    cands = [(H, left_cosets(c12, H)) for H in all_subgroups(c12)]
+    amask = ElemSet.from_elements(12, [0, 4, 8, 1, 5, 9]).bits
+    qmask = quotient_mask(c12, amask)
+    entry, hypotheses = _witness_and_hypotheses(c12, amask, qmask, 2, cands)
+    assert list(ElemSet(12, entry[0].bits)) == [0, 4, 8] and hypotheses
+    assert _witness_and_hypotheses(c12, amask, (1 << 12) - 1, 2, cands) == (None, True)
+    moved = qmask ^ (1 << 3 | 1 << 2)  # swap 3 in Q for 2, |Q| stays 9
+    assert moved.bit_count() == 9
+    assert _witness_and_hypotheses(c12, amask, moved, 2, cands) == (None, True)
+    spread = ElemSet.from_elements(7, [0, 1, 3]).bits
+    assert _witness_and_hypotheses(
+        c7, spread, quotient_mask(c7, spread), 2,
+        [(H, left_cosets(c7, H)) for H in all_subgroups(c7)]) == (None, False)
 
 
 def test_witness_reports_match_golden_digest():
