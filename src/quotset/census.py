@@ -24,12 +24,11 @@ clause evaluator that ``verify_structure`` formats.
 conjecture: every canonical set whose quotient set is within the range for
 ``max_reps`` representatives must admit a witness subgroup.  The scan only
 asks whether a witness exists, so it tries the whole group G first, outside
-the search: A meets G in one coset, so G's entry depends only on |A|, and
-where it exists |A| > |G|/2 forces Q = G.  Its clauses, the search's own
-(``_witness_clauses``), are therefore evaluated once per set size.  G
-witnesses a set exactly when Q = G and (n+1)|G| < (2n+1)|A|, which is most
-in-range sets.  Every other set with |Q| < 2|A| runs one walk over the
-proper subgroups (``_witness_and_hypotheses``, which
+the search: A meets G in one coset, so G's entry depends only on |A|.  It
+exists exactly when (n+1)|G| < (2n+1)|A|, and then |A| > |G|/2 forces
+Q = G and every clause holds, so that bound alone decides G's witnesses,
+which are most in-range sets.  Every other set with |Q| < 2|A| runs one
+walk over the proper subgroups (``_witness_and_hypotheses``, which
 ``find_structure_witness`` runs over every subgroup) that finds its witness
 and decides the witness hypotheses together.
 
@@ -58,11 +57,13 @@ translates.
 Multi-process sweeps partition the blocks by how many elements their two
 high chunks hold: partition ``part`` of ``parts`` takes the blocks whose
 count s has ``s % parts == part``, so each block's merged row and
-prefilter are built by one partition only.  The partial reports are merged
-in a fixed order, so the rendered output is identical for every job count.
-There is one partition per job, up to the machine's CPU count.  Groups
-below ``_POOL_MIN_ORDER`` are swept in process whatever the job count,
-because starting a worker pool costs more than their whole sweep.
+prefilter are built by one partition only.  Every partition sweeps the
+group the caller passed, which worker processes receive pickled.  The
+partial reports are merged in a fixed order, so the rendered output is
+identical for every job count.  There is one partition per job, up to the
+machine's CPU count.  Groups below ``_POOL_MIN_ORDER`` are swept in
+process whatever the job count, because starting a worker pool costs more
+than their whole sweep.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .classify import (
     _structure_clauses,
     check_sufficiency,
 )
-from .groups import GroupTable, build_group
+from .groups import GroupTable
 from .reports import CheckItem, CheckReport
 from .setops import ElemSet, invert_mask, product_mask, quotient_mask
 from .subgroups import Subgroup, all_subgroups, left_cosets, normalizer
@@ -146,34 +147,27 @@ def check_sweep_cap(order: int, allow_big: bool) -> None:
 
 
 def _sweep_partitions(G: GroupTable, jobs: int, partition, *args) -> list:
-    """``partition(G, subgroups, *args, part, parts)`` for every partition
-    of the masks, in partition order.
+    """``partition(G, *args, part, parts)`` for every partition of the
+    masks, in partition order.
 
     There is one partition per job, but no more than the machine has CPUs.
     With more than one, and a group of order at least ``_POOL_MIN_ORDER``,
-    each partition runs in a worker process, which rebuilds the group from
-    its spec.
+    each partition runs in a worker process, on G as the pool pickles it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     parts = min(jobs, os.cpu_count() or 1) if G.order >= _POOL_MIN_ORDER else 1
     if parts == 1:
-        return [partition(G, all_subgroups(G), *args, 0, 1)]
+        return [partition(G, *args, 0, 1)]
     # imported here, so that in-process sweeps never load it (about 1 MB)
     import multiprocessing
-    tasks = [(partition, G.spec, args, part, parts) for part in range(parts)]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(processes=parts) as pool:
-        return pool.map(_partition_task, tasks)
-
-
-def _partition_task(task):
-    partition, spec, args, part, parts = task
-    G = build_group(spec)
-    return partition(G, all_subgroups(G), *args, part, parts)
+        return pool.starmap(partition, [(G, *args, part, parts)
+                                        for part in range(parts)])
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +431,7 @@ def _container_masks(cands: dict, order: int) -> set:
     return inside
 
 
-def _census_partition(G: GroupTable, subgroups, lo, hi, part, parts):
+def _census_partition(G: GroupTable, lo, hi, part, parts):
     """Sweep the subsets of partition ``part`` of ``parts``.
 
     The picture search runs only on the masks in a container of their
@@ -447,6 +441,7 @@ def _census_partition(G: GroupTable, subgroups, lo, hi, part, parts):
     H, and H, or H | gH, would have to hold it.
     """
     order = G.order
+    subgroups = all_subgroups(G)
     # picture candidates, for the sizes that have any
     cands = {k: c for k in range(lo, hi + 1)
              if any(c := _picture_candidates(G, subgroups, k))}
@@ -629,28 +624,24 @@ def _hypothesis_subgroups(G: GroupTable, amask: int, n: int, cands):
     k = amask.bit_count()
     for H, cosets in cands:
         reps = []
-        rep_bits = 0
+        rep_bits = cover = 0
         remaining = amask
         while remaining and len(reps) < n:
             x = (remaining & -remaining).bit_length() - 1
             reps.append(x)
             rep_bits |= 1 << x
+            cover |= cosets[x]
             remaining &= ~cosets[x]
         mc = len(reps)
         if remaining or (2 * n + 1) * k <= (n + 1) * (2 * mc - 1) * H.order:
             continue
-        sandwich = _sandwich(G, H, rep_bits)
+        sandwich = product_mask(G, H.bits, product_mask(
+            G, quotient_mask(G, rep_bits), H.bits))
         norm_bits = normalizer(G, H).bits
         x0inv = G.inv[reps[0]]
         window = (None if all(norm_bits >> G.mul[x0inv][x] & 1 for x in reps[1:])
                   else sandwich.bit_count() == (2 * mc - 1) * H.order)
-        yield H, mc, rep_bits, product_mask(G, rep_bits, H.bits), sandwich, window
-
-
-def _sandwich(G: GroupTable, H: Subgroup, rep_bits: int) -> int:
-    """The two-sided sandwich H A0^-1 A0 H."""
-    return product_mask(G, H.bits,
-                        product_mask(G, quotient_mask(G, rep_bits), H.bits))
+        yield H, mc, rep_bits, cover, sandwich, window
 
 
 def find_structure_witness(G: GroupTable, A: ElemSet,
@@ -780,8 +771,9 @@ class ScanReport:
         }
 
 
-def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
+def _scan_partition(G: GroupTable, max_reps, part, parts):
     order = G.order
+    subgroups = all_subgroups(G)
     n = max_reps
 
     # The search accepts a subgroup H only if A meets mc <= n left cosets of
@@ -792,23 +784,13 @@ def _scan_partition(G: GroupTable, subgroups, max_reps, part, parts):
     # dropped up front.
     #
     # The whole group G is tried first, outside the search.  A meets it in
-    # one coset, with A0 = {e}, so its entry (mc = 1, cover = sandwich = G,
-    # window None) is the same for every set of size k, and it exists only
-    # when (2n+1)k > (n+1)|G|.  Then k > |G|/2, so A meets every translate
-    # gA and Q = G: every set of that size is in range, and G's clauses read
-    # the same for all of them.  So they are evaluated once per size, on the
-    # k smallest ids with Q = G, and whole_ok[k] says whether G is a witness
-    # for every set of size k.  Its last clause is the entry's own density
-    # bound, so whole_ok[k] holds whenever the entry exists, and a set G
-    # satisfies the hypotheses for is always in range and witnessed.  The
-    # search then tries only the proper subgroups; whether a witness or a
-    # hypothesis exists does not depend on the order they are tried in.
-    whole = [(subgroups[-1], left_cosets(G, subgroups[-1]))]  # G sorts last
-    full = (1 << order) - 1
-    whole_ok = [False] + [
-        any(False not in _witness_clauses((1 << k) - 1, full, n, entry)
-            for entry in _hypothesis_subgroups(G, (1 << k) - 1, n, whole))
-        for k in range(1, order + 1)]
+    # one coset, so G's entry exists exactly when (2n+1)k > (n+1)|G|; then
+    # k > |G|/2 forces Q = G, and each of its clauses holds, the bracket
+    # clause being that same bound.  So whole_ok[k] says whether G witnesses
+    # every set of size k, and the search tries only the proper subgroups;
+    # whether a witness or a hypothesis exists does not depend on the order
+    # they are tried in.
+    whole_ok = [(2 * n + 1) * k > (n + 1) * order for k in range(order + 1)]
     cands = [[(H, left_cosets(G, H)) for H in subgroups[:-1]
               if (n + 1) * (2 * -(-k // H.order) - 1) * H.order < (2 * n + 1) * k]
              for k in range(order + 1)]

@@ -82,6 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sel.add_argument("--max-order", type=int, metavar="N",
                          help="every catalog group of order at most N")
 
+    def sweep_limits(p):
+        p.add_argument("--jobs", type=int, default=1, metavar="N")
+        p.add_argument("--i-know-this-is-big", action="store_true",
+                       dest="allow_big",
+                       help="allow sweeps past the default order cap")
+
     p = sub.add_parser("classify", help="classify one set by its quotient set")
     p.add_argument("--group", required=True, metavar="SPEC")
     p.add_argument("--set", required=True, metavar="LITERAL",
@@ -93,10 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group_selection(p)
     p.add_argument("--sizes", type=_sizes_arg, metavar="A..B",
                    help="restrict to set sizes in this range (default: all)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
-    p.add_argument("--i-know-this-is-big", action="store_true",
-                   dest="allow_big",
-                   help="allow sweeps past the default order cap")
+    sweep_limits(p)
     common(p)
 
     p = sub.add_parser("conjecture-scan",
@@ -105,9 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, metavar="N",
                    help="representative bound; the in-range test is "
                         "(N+1)|Q| < (2N+1)|A|")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
-    p.add_argument("--i-know-this-is-big", action="store_true", dest="allow_big",
-                   help="allow sweeps past the default order cap")
+    sweep_limits(p)
     common(p)
 
     p = sub.add_parser("construct-extremal",

@@ -26,7 +26,13 @@ from quotset.census import (
     structure_scan,
 )
 from quotset.classify import ClassKind, _coset_picture, _picture_candidates, classify
-from quotset.groups import ALTERNATING4_SPEC, build_group, catalog_entries, catalog_specs
+from quotset.groups import (
+    ALTERNATING4_SPEC,
+    GroupTable,
+    build_group,
+    catalog_entries,
+    catalog_specs,
+)
 from quotset.setops import (
     ElemSet,
     quotient_mask,
@@ -540,6 +546,43 @@ def test_small_groups_sweep_in_process_at_every_job_count(d6, monkeypatch):
     base = classification_census(d6).to_dict()
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     assert classification_census(d6, jobs=4).to_dict() == base
+
+
+def _relabelled_d6(label):
+    D = build_group("dihedral 6")
+    return GroupTable(D.order, D.mul, D.inv, D.element_names, label)
+
+
+@pytest.mark.parametrize("label", ["cyclic 12", "no such group"])
+def test_worker_partitions_sweep_the_callers_group(monkeypatch, label):
+    # dihedral 6's table under another group's label, or under one that
+    # does not parse: a worker sweeps the table it was handed, so jobs 2
+    # reports what jobs 1 does.  Jobs 2 runs first each time, so the census
+    # pickles a table with empty caches and the scan one with full caches.
+    G = _relabelled_d6(label)
+    monkeypatch.setattr(census, "_POOL_MIN_ORDER", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for sweep in (lambda jobs: classification_census(G, jobs=jobs),
+                  lambda jobs: structure_scan(G, 2, jobs=jobs)):
+        assert sweep(2).to_dict() == sweep(1).to_dict()
+
+
+def test_spawned_workers_sweep_the_callers_group(monkeypatch):
+    # where fork is unavailable the pool spawns its workers, which receive
+    # the group pickled: a label that does not parse sweeps as at jobs 1
+    real_get_context = multiprocessing.get_context
+
+    def no_fork(method):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return real_get_context("spawn")
+
+    G = _relabelled_d6("no such group")
+    monkeypatch.setattr(census, "_POOL_MIN_ORDER", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert (classification_census(G, jobs=2).to_dict()
+            == classification_census(G, jobs=1).to_dict())
 
 
 class _PoolRequested(Exception):

@@ -10,12 +10,12 @@ Run from the root of a quotset checkout:
 Each revision is unpacked with ``git archive`` into its own directory under
 ``--workdir``, and ``perfbench/run.py --trace 0`` runs there, in a fresh
 interpreter with PYTHONDONTWRITEBYTECODE=1.  A series is a seed and a
-number of rounds.  Every round runs each workload once per side, in
-``WORKLOADS`` order, with the parent first in odd rounds and the change
-first in even ones, so that a drift in the host's speed does not favour one
-side.  Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  The output
-file is rewritten after every run, so an interrupted series keeps the runs
-it finished.
+number of rounds.  Every round runs each workload ``BENCHMARK.json`` lists
+once per side, in the order it lists them, with the parent first in odd
+rounds and the change first in even ones, so that a drift in the host's
+speed does not favour one side.  Every run lasts ``BENCHMARK.json``'s
+``run_seconds``.  The output file is rewritten after every run, so an
+interrupted series keeps the runs it finished.
 
 The summary of a series (``summarize``) gives, per workload and end-to-end
 metric: each side's median and quartiles (``statistics.quantiles``, n=4),
@@ -44,7 +44,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("census-deep", "census-catalog", "scan-n3")
 RUN_COMMAND = ("python3 perfbench/run.py --workload W --seed S "
                "--seconds {seconds:g} --trace 0")
 
@@ -196,6 +195,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
     trees = {"parent": _unpack(parent, args.workdir),
              "change": _unpack(change, args.workdir)}
     doc = {
@@ -210,9 +210,10 @@ def main(argv=None) -> int:
         "protocol": (
             "each run entry holds the last stdout line of one perfbench run "
             "(null if it printed none); rounds alternate which side runs first "
-            "(the parent in odd rounds); series 'all' runs "
-            f"{', '.join(WORKLOADS)} in that order every round; summaries "
-            "give per-side medians and quartiles (statistics.quantiles, n=4), "
+            "(the parent in odd rounds); series 'all' runs the workloads "
+            f"BENCHMARK.json lists, {', '.join(workloads)}, in that order "
+            "every round; summaries give per-side medians and quartiles "
+            "(statistics.quantiles, n=4), "
             "the pairs in which the change is better, the relative change of "
             "the medians, the median per-pair ratio change/parent, and the "
             "verdicts gain_shown (better in at least 9/10 of pairs and by "
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
         doc["series"].append(series)
         for rnd in range(1, rounds + 1):
             sides = ("parent", "change") if rnd % 2 else ("change", "parent")
-            for workload in WORKLOADS:
+            for workload in workloads:
                 for side in sides:
                     result = _run_once(trees[side], workload, seed, seconds)
                     series["runs"].append({"round": rnd, "seed": seed,
