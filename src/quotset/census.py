@@ -23,14 +23,14 @@ clause evaluator that ``verify_structure`` formats.
 ``structure_scan`` does the same for the bounded-representative structure
 conjecture: every canonical set whose quotient set is within the range for
 ``max_reps`` representatives must admit a witness subgroup.  The scan only
-asks whether a witness exists, so it tries the whole group G first, outside
-the search: A meets G in one coset, so G's entry depends only on |A|.  It
-exists exactly when (n+1)|G| < (2n+1)|A|, and then |A| > |G|/2 forces
-Q = G and every clause holds, so that bound alone decides G's witnesses,
-which are most in-range sets.  Every other set with |Q| < 2|A| runs one
-walk over the proper subgroups (``_witness_and_hypotheses``, which
-``find_structure_witness`` runs over every subgroup) that finds its witness
-and decides the witness hypotheses together.
+asks whether a witness exists, and it sweeps only the sets of at most |G|/2
+elements.  A larger set A meets every translate Ag, so Q = G, and the scan
+counts those sets per size instead: Burnside's count of their classes, and
+G's density bound (n+1)|G| < (2n+1)|A| alone decides them.  Every swept set
+with |Q| < 2|A| runs one walk over the proper subgroups
+(``_witness_and_hypotheses``, which ``find_structure_witness`` runs over
+every subgroup) that finds its witness and decides the witness hypotheses
+together.
 
 Both sweeps read one kernel, ``_canonical_masks``, which decides the
 canonical test and builds the quotient set a block of masks at a time.  It
@@ -73,6 +73,7 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, repeat
+from math import comb
 from operator import or_
 
 from .classify import (
@@ -85,7 +86,8 @@ from .classify import (
 )
 from .groups import GroupTable
 from .reports import CheckItem, CheckReport
-from .setops import ElemSet, invert_mask, product_mask, quotient_mask
+from .setops import (ElemSet, invert_mask, product_mask, quotient_mask,
+                     subgroup_closure_mask)
 from .subgroups import Subgroup, all_subgroups, left_cosets, normalizer
 
 __all__ = [
@@ -781,19 +783,12 @@ def _scan_partition(G: GroupTable, max_reps, part, parts):
     # c = ceil(k/|H|) cosets and (2mc-1)|H| grows with mc, so H can pass only
     # when (n+1)(2c-1)|H| < (2n+1)k.  (That also gives c <= n, since
     # k <= c|H|.)  The other subgroups fail for every set of size k and are
-    # dropped up front.
-    #
-    # The whole group G is tried first, outside the search.  A meets it in
-    # one coset, so G's entry exists exactly when (2n+1)k > (n+1)|G|; then
-    # k > |G|/2 forces Q = G, and each of its clauses holds, the bracket
-    # clause being that same bound.  So whole_ok[k] says whether G witnesses
-    # every set of size k, and the search tries only the proper subgroups;
-    # whether a witness or a hypothesis exists does not depend on the order
-    # they are tried in.
-    whole_ok = [(2 * n + 1) * k > (n + 1) * order for k in range(order + 1)]
+    # dropped up front.  The sweep stops at k = |G|/2, and G never passes
+    # there: (2n+1)k > (n+1)|G| needs k > |G|/2.
+    half = order // 2
     cands = [[(H, left_cosets(G, H)) for H in subgroups[:-1]
               if (n + 1) * (2 * -(-k // H.order) - 1) * H.order < (2 * n + 1) * k]
-             for k in range(order + 1)]
+             for k in range(half + 1)]
 
     scanned = [0]
     classes = 0
@@ -803,7 +798,7 @@ def _scan_partition(G: GroupTable, max_reps, part, parts):
     counterexamples = []
     suff_failures = []
 
-    for m, k, qmask, _ in _canonical_masks(G, 1, order, part, parts, scanned):
+    for m, k, qmask, _ in _canonical_masks(G, 1, half, part, parts, scanned):
         classes += 1
         qk = qmask.bit_count()
         in_range = (n + 1) * qk < (2 * n + 1) * k
@@ -811,8 +806,7 @@ def _scan_partition(G: GroupTable, max_reps, part, parts):
         # in range implies |Q| < 2|A|; a set with neither is not checked
         if 2 * k <= qk:
             continue
-        witness, hypotheses = ((True, True) if whole_ok[k] else
-                               _witness_and_hypotheses(G, m, qmask, n, cands[k]))
+        witness, hypotheses = _witness_and_hypotheses(G, m, qmask, n, cands[k])
         checked += hypotheses
         if witness:
             witnesses += 1
@@ -828,14 +822,15 @@ def _scan_partition(G: GroupTable, max_reps, part, parts):
 
 def structure_scan(G: GroupTable, max_reps: int, jobs: int = 1,
                    allow_big: bool = False) -> ScanReport:
-    """Sweep every subset of the group for bounded-representative structure.
+    """Decide every subset of the group for bounded-representative structure.
 
     Each canonical set whose quotient set is in range — meaning
     (n+1)|Q| < (2n+1)|A| for n = max_reps — must admit a witness subgroup;
     sets admitting none are reported as counterexamples.  Independently,
     every set with |Q| < 2|A| that satisfies the witness hypotheses is
     cross-checked to actually be in range, so the hypotheses' sufficiency
-    is exercised on the same sweep.
+    is exercised on the same sweep.  The sets of at most |G|/2 elements are
+    swept; the larger ones are counted per size and decided by G alone.
     """
     start = time.perf_counter()
     check_sweep_cap(G.order, allow_big)
@@ -843,18 +838,37 @@ def structure_scan(G: GroupTable, max_reps: int, jobs: int = 1,
         raise ValueError(f"max_reps must be at least 1, got {max_reps}")
     partials = _sweep_partitions(G, jobs, _scan_partition, max_reps)
 
+    # The partitions sweep k <= |G|/2.  A larger A meets every translate
+    # Ag, so Q = G, and each size k above |G|/2 is added here once: its
+    # C(|G|-1, k-1) masks and top[k] classes, Burnside's count (x -> g*x
+    # has |G|/o(g) cycles of length o(g)).  A meets G in one coset, so G's
+    # entry exists exactly when (2n+1)k > (n+1)|G|; then every clause holds,
+    # the bracket clause being that same bound, and G witnesses all top[k]
+    # sets, which are in range and meet the hypotheses (by_whole counts
+    # them).  At the other top sizes no set is in range, and no proper H
+    # passes the partitions' candidate bound
+    # (n+1)(2c-1)|H| < (2n+1)k <= (n+1)|G|: it puts the index i = |G|/|H|
+    # above 2c-1, while c = ceil(k/|H|) >= k/|H| > i/2 puts it below 2c.
+    # So those sets have no witness and no hypotheses.
+    N, n = G.order, max_reps
+    orders = [subgroup_closure_mask(G, 1 << g).bit_count() for g in range(N)]
+    top = {k: sum(comb(N // o, k // o) for o in orders if k % o == 0) // N
+           for k in range(N // 2 + 1, N + 1)}
+    by_whole = sum(c for k, c in top.items() if (2 * n + 1) * k > (n + 1) * N)
+
     return ScanReport(
         group_spec=G.spec,
         order=G.order,
         max_reps=max_reps,
-        subsets_scanned=sum(p["scanned"] for p in partials),
-        canonical_classes=sum(p["classes"] for p in partials),
-        in_range=sum(p["in_range"] for p in partials),
-        witnesses_found=sum(p["witnesses"] for p in partials),
+        subsets_scanned=(sum(p["scanned"] for p in partials)
+                         + sum(comb(N - 1, k - 1) for k in top)),
+        canonical_classes=sum(p["classes"] for p in partials) + sum(top.values()),
+        in_range=sum(p["in_range"] for p in partials) + by_whole,
+        witnesses_found=sum(p["witnesses"] for p in partials) + by_whole,
         counterexamples=tuple(
             ElemSet(G.order, m) for m in
             sorted(m for p in partials for m in p["counterexamples"])),
-        sufficiency_checked=sum(p["checked"] for p in partials),
+        sufficiency_checked=sum(p["checked"] for p in partials) + by_whole,
         sufficiency_failures=tuple(
             ElemSet(G.order, m) for m in
             sorted(m for p in partials for m in p["suff_failures"])),

@@ -275,6 +275,11 @@ def test_canonical_classes_match_burnside(make_group, spec):
                 got[k] += 1
         assert got == expected, parts
     assert classification_census(G).canonical_classes == sum(expected.values())
+    # the scan sweeps the sizes up to |G|/2 and adds the larger ones from
+    # closed forms, so it still accounts for every class and every mask
+    scan = structure_scan(G, 1)
+    assert scan.canonical_classes == sum(expected.values())
+    assert scan.subsets_scanned == 2 ** (G.order - 1)
 
 
 def _naive_picture(G, amask, subgroups):
@@ -737,6 +742,23 @@ def test_scan_pruning_loses_nothing(make_group):
 def test_scan_pruning_loses_nothing_at_orders_13_to_16(make_group, spec):
     for n in (1, 2, 3, 4):
         _assert_scan_matches_the_recount(make_group(spec), n)
+
+
+def test_no_proper_subgroup_is_a_candidate_above_half_out_of_range():
+    # structure_scan decides the sizes k > N/2 without a subgroup search: Q
+    # is the whole group there, and where (2n+1)k <= (n+1)N no proper
+    # subgroup order h may pass the candidate bound (n+1)(2c-1)h < (2n+1)k,
+    # c = ceil(k/h); that is, no index N/h lies strictly between 2c-1 and 2c
+    for N in range(1, 65):
+        for n in range(1, 9):
+            for k in range(N // 2 + 1, N + 1):
+                if (2 * n + 1) * k > (n + 1) * N:
+                    continue
+                for h in range(1, N):
+                    if N % h == 0:
+                        c = -(-k // h)
+                        assert (n + 1) * (2 * c - 1) * h >= (2 * n + 1) * k, \
+                            (N, n, k, h)
 
 
 def test_whole_group_decides_exactly_the_sets_it_witnesses(monkeypatch):

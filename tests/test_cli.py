@@ -560,3 +560,15 @@ def test_order_18_reports_match_golden_digests(capsys, argv, digest, jobs):
     code, out, _ = run(capsys, argv + ["--format", "json", "--jobs", jobs])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the scan up to order 24, where the sizes above |G|/2 hold most classes and
+# are counted, not swept; about 6 s at one job and 4 s at two
+@pytest.mark.extended
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_order_24_scan_matches_golden_digest(capsys, jobs):
+    code, out, _ = run(capsys, ["conjecture-scan", "--max-order", "24", "--n", "2",
+                                "--format", "json", "--jobs", jobs])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "8ed6109e1ff8dc7ed9f0ba19d42d215be6d185f1d65225383b59f534037beca9")
