@@ -562,8 +562,9 @@ def test_order_18_reports_match_golden_digests(capsys, argv, digest, jobs):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-# the scan up to order 24, where the sizes above |G|/2 hold most classes and
-# are counted, not swept; about 6 s at one job and 4 s at two
+# the scan up to order 24, where most in-range sets are larger than |G|/2 and
+# so are counted, not swept; about 4 s at one job and 3 s at two on a 2-core
+# host
 @pytest.mark.extended
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_order_24_scan_matches_golden_digest(capsys, jobs):
