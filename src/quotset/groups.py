@@ -39,6 +39,7 @@ from .reports import CheckItem, CheckReport
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
+    "TABLE_ORDER_CAP",
     "ALTERNATING4_SPEC",
     "GroupSpecError",
     "GroupTable",
@@ -51,6 +52,9 @@ __all__ = [
 
 #: Constructions beyond this order (7!) are refused outright.
 DEFAULT_ORDER_CAP = 5040
+
+#: ``GroupTable.action_tables`` refuses larger groups: its tables hold ~32 * order^2 masks.
+TABLE_ORDER_CAP = 120
 
 #: The even permutations of four points, generated by a double swap and a 3-cycle.
 ALTERNATING4_SPEC = "perm degree=4 gens=[(2 1 4 3),(2 3 1 4)]"
@@ -164,6 +168,8 @@ class GroupTable:
         tables = self._tables
         if tables is None:
             n, mul, inv = self.order, self.mul, self.inv
+            if n > TABLE_ORDER_CAP:
+                raise ValueError(f"order {n} exceeds the action-table cap {TABLE_ORDER_CAP}")
             w = -(-n // 3)
             # lefts[x][a] is the bit of inv(a)*x
             lefts = [[1 << mul[inv[a]][x] for a in range(n)] for x in range(n)]

@@ -106,30 +106,20 @@ def invert_mask(G: GroupTable, mask: int) -> int:
 
 def product_mask(G: GroupTable, amask: int, bmask: int) -> int:
     """Bitmask of all products a*b with a in A and b in B."""
-    # a*B = inv(x)*B for x = inv(a), entry x of B's rows
-    t = G.action_tables()
-    w, cm, (t0, t1, t2), (e0, e1, e2) = t.width, t.chunk_mask, t.rows, t.elems
-    r0, r1, r2 = t0[bmask & cm], t1[bmask >> w & cm], t2[bmask >> 2 * w & cm]
-    inv = G.inv
-    out = bmask if amask & 1 else 0
-    for a in e0[amask & cm] + e1[amask >> w & cm] + e2[amask >> 2 * w & cm]:
-        x = inv[a]
-        out |= r0[x] | r1[x] | r2[x]
-    return out
+    return _quotient(G.action_tables(), invert_mask(G, amask), bmask)  # A*B = inv(inv(A))*B
 
 
 def quotient_mask(G: GroupTable, mask: int) -> int:
     """Bitmask of all quotients inv(a)*b with a, b in the set."""
-    return _quotient(G.action_tables(), mask)
+    return _quotient(G.action_tables(), mask, mask)
 
 
-def _quotient(t, mask: int) -> int:
-    # for callers that hold the tables already, such as the closure loop
+def _quotient(t, amask: int, bmask: int) -> int:
+    """inv(A)*B, read from B's rows: the one row lookup of every set operation."""
     w, cm, (t0, t1, t2), (e0, e1, e2) = t.width, t.chunk_mask, t.rows, t.elems
-    c0, c1, c2 = mask & cm, mask >> w & cm, mask >> 2 * w & cm
-    r0, r1, r2 = t0[c0], t1[c1], t2[c2]
-    out = mask if mask & 1 else 0
-    for a in e0[c0] + e1[c1] + e2[c2]:
+    r0, r1, r2 = t0[bmask & cm], t1[bmask >> w & cm], t2[bmask >> 2 * w & cm]
+    out = bmask if amask & 1 else 0
+    for a in e0[amask & cm] + e1[amask >> w & cm] + e2[amask >> 2 * w & cm]:
         out |= r0[a] | r1[a] | r2[a]
     return out
 
@@ -140,29 +130,24 @@ def rep_counts_quotient_mask(G: GroupTable, amask: int, bmask: int) -> list[int]
     Equivalently the size of ``Ag`` meet ``B``, so counts[g] > 0 exactly on
     the quotient-style product of the two sets.
     """
-    # |Ag meet B| = |inv(g)*inv(A) meet inv(B)|, entry g of inv(A)'s rows
+    # |Ag meet B| = |inv(g)*inv(A) meet inv(B)|
     t = G.action_tables()
-    w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.rows
     ainv, binv = invert_mask(G, amask), invert_mask(G, bmask)
-    return [((x | y | z) & binv).bit_count() for x, y, z in
-            zip(t0[ainv & cm], t1[ainv >> w & cm], t2[ainv >> 2 * w & cm])]
+    return [(_quotient(t, 1 << g, ainv) & binv).bit_count() for g in range(G.order)]
 
 
 def subgroup_closure_mask(G: GroupTable, mask: int) -> int:
     """Bitmask of the subgroup generated by the elements of ``mask``."""
     # A set S holding the identity lies inside inv(S)*S, which stays inside
     # the subgroup S generates, and equals S only when S is a subgroup.
-    t = G.action_tables()
-    cur = mask | 1
-    while True:
-        nxt = _quotient(t, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    t, cur, nxt = G.action_tables(), 0, mask | 1
+    while nxt != cur:
+        cur, nxt = nxt, _quotient(t, nxt, nxt)
+    return cur
 
 
 def is_subgroup_mask(G: GroupTable, mask: int) -> bool:
-    return bool(mask & 1) and _quotient(G.action_tables(), mask) == mask
+    return bool(mask & 1) and _quotient(G.action_tables(), mask, mask) == mask
 
 
 # ---------------------------------------------------------------------------

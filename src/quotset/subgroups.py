@@ -8,6 +8,7 @@ from .groups import GroupTable
 from .reports import CheckItem, CheckReport
 from .setops import (
     ElemSet,
+    _quotient,
     invert_mask,
     is_subgroup_mask,
     product_mask,
@@ -101,17 +102,14 @@ def left_cosets(G: GroupTable, H: Subgroup) -> tuple[int, ...]:
     """``cosets[x]`` is the left coset xH as a bitmask, for every element x.
 
     The one source of cosets: right cosets are read as Hg = inv(inv(g)*H)
-    and double cosets as H*(gH).  Built on first use from H's rows in the
-    action tables and cached per subgroup on the group table.
+    and double cosets as H*(gH).  Built on first use as xH = inv(inv(x))*H
+    by ``setops._quotient`` and cached per subgroup on the group table.
     """
     hbits = H.bits
     cosets = G._cosets.get(hbits)
     if cosets is None:
-        # xH = inv(y)*H for y = inv(x), entry y of H's rows
-        t = G.action_tables()
-        w, cm, (t0, t1, t2) = t.width, t.chunk_mask, t.rows
-        r0, r1, r2 = t0[hbits & cm], t1[hbits >> w & cm], t2[hbits >> 2 * w & cm]
-        cosets = G._cosets[hbits] = tuple(r0[y] | r1[y] | r2[y] for y in G.inv)
+        t = G.action_tables()  # xH = inv(y)*H for y = inv(x)
+        cosets = G._cosets[hbits] = tuple(_quotient(t, 1 << y, hbits) for y in G.inv)
     return cosets
 
 

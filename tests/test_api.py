@@ -2,10 +2,13 @@
 
 A name deleted from a module but left in its ``__all__`` only fails at
 ``from module import *``; resolving every entry here catches it earlier.
+The last test keeps the action tables' chunk layout read in one place.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import quotset
 
@@ -64,3 +67,40 @@ def test_every_module_export_resolves():
         module = importlib.import_module(f"quotset.{name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (name, missing)
+
+
+LAYOUT_FIELDS = {"rows", "elems", "invert", "chunk_mask", "width"}
+LAYOUT_READERS = {
+    ("setops", "_quotient"),  # inv(A)*B, which every other set operation calls
+    ("setops", "invert_mask"),  # the invert tables
+    ("census", "_canonical_masks"),  # the sweep kernel's per-block reads
+}
+
+
+def _layout_readers(tree, module):
+    """(module, top-level function) of every read of a layout field; the
+    function is None for a read at module level."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and node.attr in LAYOUT_FIELDS:
+            found.add((module, owner))
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_three_functions_read_the_table_layout():
+    # groups.py builds the tables; a new search (a child update such as
+    # Q(P | {x}) = Q(P) | x^-1 P | P^-1 x) calls setops._quotient instead of
+    # spelling out the three-chunk lookup again
+    readers = set()
+    for path in sorted(Path(quotset.__file__).parent.glob("*.py")):
+        if path.name != "groups.py":
+            readers |= _layout_readers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert readers == LAYOUT_READERS

@@ -159,6 +159,14 @@ def test_classify_rejects_bad_input(c8):
         classify(c8, ElemSet.from_elements(9, [0]))
 
 
+def test_classify_refuses_a_group_past_the_table_cap():
+    # the refusal comes before any table is built, not after gigabytes of them
+    G = build_group("cyclic 130")
+    with pytest.raises(ValueError, match="^order 130 exceeds the action-table cap 120$"):
+        classify(G, ElemSet.from_elements(130, [0, 1]))
+    assert G._tables is None
+
+
 def test_classification_is_translation_covariant(d4):
     # translating the set never changes the kind or the subgroup order
     A = ElemSet.from_elements(8, [0, 1, 4, 5])

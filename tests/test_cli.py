@@ -106,6 +106,12 @@ def test_usage_errors_exit_2(capsys, argv):
     assert exc.value.code == 2
 
 
+def test_classify_refuses_a_group_past_the_table_cap(capsys):
+    code, out, err = run(capsys, ["classify", "--group", "cyclic 130", "--set", "{0, 1}"])
+    assert (code, out) == (2, "")
+    assert "order 130 exceeds the action-table cap 120" in err
+
+
 # === census ===
 
 
@@ -364,6 +370,18 @@ def test_check_lemmas_rejects_a_non_subgroup(capsys):
         "check-lemmas", "--group", "cyclic 6", "--subgroup", "{0, 1}"])
     assert code == 2
     assert "is not a subgroup" in err
+
+
+def test_check_lemmas_refuses_a_large_group_before_the_axioms(capsys, monkeypatch):
+    # the O(n^3) axiom check runs only once the subgroup caps have passed
+    def axioms(G):
+        raise AssertionError("verify_group_axioms ran before the caps")
+    monkeypatch.setattr(cli, "verify_group_axioms", axioms)
+    for extra, message in (([], "subgroup enumeration over order 130 exceeds the cap 64"),
+                           (["--subgroup", "{0}"], "order 130 exceeds the action-table cap 120")):
+        code, out, err = run(capsys, ["check-lemmas", "--group", "cyclic 130", *extra])
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 def test_check_lemmas_rejects_negative_box_trials(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from quotset.groups import (
     ALTERNATING4_SPEC,
+    TABLE_ORDER_CAP,
     GroupSpecError,
     build_group,
     catalog_specs,
@@ -91,6 +92,14 @@ def test_action_tables_layout_and_entries(make_group):
             assert t.invert[c][full] == sum(1 << G.inv[x] for x in X)
             assert t.rows[c][full] == [sum(1 << y for y in {G.mul[G.inv[a]][x] for x in X})
                                        for a in range(n)]
+
+
+def test_action_tables_refuse_orders_past_the_table_cap():
+    assert TABLE_ORDER_CAP == 120  # symmetric 5 still gets its tables
+    G = build_group("cyclic 121")
+    with pytest.raises(ValueError, match="^order 121 exceeds the action-table cap 120$"):
+        G.action_tables()
+    assert G._tables is None
 
 
 # === family conventions ===

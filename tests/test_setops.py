@@ -91,8 +91,10 @@ def test_elemset_validates_its_mask():
 def test_kernels_match_oracles_randomized(make_group):
     rng = random.Random(0x5E75)
     specs = catalog_specs(16)
-    for _ in range(300):
-        G = make_group(rng.choice(specs))
+    # dihedral 16 (order 32, w = 11) has the widest plain tables, and
+    # dihedral 20 (order 40) reads the sub-chunk tables past order 36
+    for spec in [rng.choice(specs) for _ in range(300)] + ["dihedral 16", "dihedral 20"] * 20:
+        G = make_group(spec)
         n = G.order
         A = random_subset(rng, n)
         B = random_subset(rng, n)

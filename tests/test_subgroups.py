@@ -119,14 +119,16 @@ def test_normalizer_contains_subgroup_and_is_a_subgroup(make_group):
             assert is_subgroup_mask(G, norm.bits)
 
 
-def test_left_coset_table_matches_naive_cosets(s4):
-    for H in all_subgroups(s4):
-        cosets = left_cosets(s4, H)
-        assert len(cosets) == s4.order
-        for x in range(s4.order):
-            naive = {s4.mul[x][h] for h in H}
-            assert set(ElemSet(s4.order, cosets[x])) == naive
-        assert left_cosets(s4, H) is cosets  # cached on the group table
+def test_left_coset_table_matches_naive_cosets(make_group):
+    # dihedral 20 (order 40) reads the sub-chunk tables past order 36
+    for G in (make_group("symmetric 4"), make_group("dihedral 20")):
+        for H in all_subgroups(G):
+            cosets = left_cosets(G, H)
+            assert len(cosets) == G.order
+            for x in range(G.order):
+                naive = {G.mul[x][h] for h in H}
+                assert set(ElemSet(G.order, cosets[x])) == naive
+            assert left_cosets(G, H) is cosets  # cached on the group table
 
 
 def test_normalizer_special_cases(d4, s3):
