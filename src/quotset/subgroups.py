@@ -108,7 +108,7 @@ def left_cosets(G: GroupTable, H: Subgroup) -> tuple[int, ...]:
     hbits = H.bits
     cosets = G._cosets.get(hbits)
     if cosets is None:
-        t = G.action_tables()  # xH = inv(y)*H for y = inv(x)
+        t = G.action_tables()
         cosets = G._cosets[hbits] = tuple(_quotient(t, 1 << y, hbits) for y in G.inv)
     return cosets
 

@@ -106,12 +106,6 @@ def test_usage_errors_exit_2(capsys, argv):
     assert exc.value.code == 2
 
 
-def test_classify_refuses_a_group_past_the_table_cap(capsys):
-    code, out, err = run(capsys, ["classify", "--group", "cyclic 130", "--set", "{0, 1}"])
-    assert (code, out) == (2, "")
-    assert "order 130 exceeds the action-table cap 120" in err
-
-
 # === census ===
 
 
