@@ -334,9 +334,8 @@ def _canonical_masks(G: GroupTable, lo: int, hi: int, part: int, parts: int,
     """
     assert G.order <= HARD_CENSUS_CAP, f"order {G.order} is past the sweep cap"
     t = G.action_tables()
-    w, rows = t.width, t.rows
-    assert all(type(r) is list for r in rows), "wide tables reach the kernel"
-    (rows0, rows1, rows2), (elems0, elems1, elems2) = rows, t.elems
+    w = t.width
+    ((rows0, rows1, rows2),), ((elems0, elems1, elems2),) = t.rows, t.elems
 
     # A (c2, c1) block holds the masks m1 | c0 for every odd chunk-0 value
     # c0 (every mask holds the identity); block0[s] is the bitset of the c0

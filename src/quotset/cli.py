@@ -153,11 +153,11 @@ def _catalog(max_order: int) -> list[tuple[int, str]]:
 
 def _sweep_groups(args, sizes=None) -> list[GroupTable]:
     """Build every selected group and check it against the caps and any
-    ``--sizes`` range before any sweep runs, so a group that would fail
-    fails the command up front.  Catalog groups are checked against the
-    caps by their listed orders, before any of them is built, and with
-    ``--sizes`` the catalog leaves out the groups whose order is below the
-    range's upper end."""
+    ``--sizes`` range as soon as it is built, so a group that would fail
+    fails the command before any later group is built or any sweep runs.
+    Catalog groups are checked against the caps by their listed orders,
+    before any of them is built, and with ``--sizes`` the catalog leaves
+    out the groups whose order is below the range's upper end."""
     if args.group is not None:
         specs = [args.group]
     elif args.groups_file is not None:
@@ -175,10 +175,12 @@ def _sweep_groups(args, sizes=None) -> list[GroupTable]:
         for order, _ in entries:
             check_sweep_cap(order, args.allow_big)
         specs = [spec for _, spec in entries]
-    groups = [build_group(spec) for spec in specs]
-    for G in groups:
+    groups = []
+    for spec in specs:
+        G = build_group(spec)
         check_sweep_cap(G.order, args.allow_big)
         check_sizes(G, sizes)
+        groups.append(G)
     return groups
 
 

@@ -31,8 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import reduce
-from operator import add, or_
+from operator import or_
 from typing import NamedTuple
 
 from .reports import CheckItem, CheckReport
@@ -76,22 +75,29 @@ class GroupSpecError(ValueError):
 class _ActionTables(NamedTuple):
     """Row tables that apply group actions to whole bitmasks.
 
-    A mask is three chunks of ``width`` = ceil(order/3) bits.  For the
-    elements X that value ``v`` of chunk ``c`` marks, ``rows[c][v][a]`` is
-    the mask inv(a)*X, ``invert[c][v]`` holds the inverses of X, and
-    ``elems[c][v]`` lists X without the identity, ascending; chunks past the
-    order hold only the value 0.  A translate is three lookups and two ORs,
-    and all translates of one set share its rows; the sweep kernel also
-    shares the OR of the two high chunks' rows across every mask that has
-    those chunks, so its translates take two lookups and one OR.  Right
-    actions go through inverses, Xg = inv(inv(g)*inv(X)), so no second
-    table family is kept.
+    A mask is k chunks of ``width`` = w bits, and the tables store them as
+    k/3 triples: ``rows``, ``invert`` and ``elems`` each hold one triple of
+    chunk tables per 3w bits of the mask.  For the elements X that value
+    ``v`` of chunk c marks, the chunk's row table at ``v`` is the list whose
+    entry a is the mask inv(a)*X, its invert table at ``v`` holds the
+    inverses of X, and its elems table at ``v`` lists X without the
+    identity, ascending; chunks past the order hold only the value 0.
+    Right actions go through inverses, Xg = inv(inv(g)*inv(X)), so no
+    second table family is kept.
 
-    Three chunks keep ``rows`` at 3 * 2^w rows of ``order`` masks, about
-    200,000 masks at the hard sweep cap (order 32, w = 11); two chunks would
-    need 2^16-row tables there, and four would add a lookup to every
-    translate.  Past order 36 a chunk would need over 2^12 rows (2^24 at
-    order 70), so it is stored as sub-chunks of at most 8 bits (``_Wide``).
+    Up to order 36 there is one triple and w = ceil(order/3): ``rows`` is
+    3 * 2^w rows of ``order`` masks, about 200,000 masks at the hard sweep
+    cap (order 32, w = 11).  Past order 36 a chunk of ceil(order/3) bits
+    would need over 2^12 rows (2^24 at order 70), so k = 3 * ceil(order/24)
+    and w = ceil(order/k) <= 8, which keeps every chunk at most 256 rows
+    and the tables at about 32 * order^2 masks.  A translate is three
+    lookups and two ORs per triple, and all translates of one set share its
+    rows.  The readers write each triple out: a loop over single chunks
+    measured 40-50% slower per call at order 24, and with one triple the
+    orders the sweeps reach keep the three lookups.  The sweep kernel,
+    which runs only up to order 32, also shares the OR of the two high
+    chunks' rows across every mask that has those chunks, so its
+    translates take two lookups and one OR.
     """
 
     width: int
@@ -99,24 +105,6 @@ class _ActionTables(NamedTuple):
     rows: list
     invert: list
     elems: list
-
-
-def _or_rows(r, s):
-    return list(map(or_, r, s))
-
-
-class _Wide:
-    """One chunk stored as sub-chunks of ``width`` bits: entry ``v`` folds
-    with ``join`` the sub-chunk entries that the slices of ``v`` pick."""
-
-    __slots__ = ("parts", "width", "join")
-
-    def __init__(self, parts, width, join):
-        self.parts, self.width, self.join = parts, width, join
-
-    def __getitem__(self, v):
-        w, cm = self.width, (1 << self.width) - 1
-        return reduce(self.join, [part[v >> i * w & cm] for i, part in enumerate(self.parts)])
 
 
 def _chunk_tables(lefts, inv, base, bits):
@@ -170,22 +158,15 @@ class GroupTable:
             n, mul, inv = self.order, self.mul, self.inv
             if n > TABLE_ORDER_CAP:
                 raise ValueError(f"order {n} exceeds the action-table cap {TABLE_ORDER_CAP}")
-            w = -(-n // 3)
+            k = 3 if n <= 36 else 3 * -(-n // 24)  # chunks, a multiple of 3
+            w = -(-n // k)
             # lefts[x][a] is the bit of inv(a)*x
             lefts = [[1 << mul[inv[a]][x] for a in range(n)] for x in range(n)]
-            chunks = []
-            for base in range(0, 3 * w, w):
-                bits = min(w, n - base)
-                if w <= 12:
-                    chunks.append(_chunk_tables(lefts, inv, base, bits))
-                    continue
-                s = -(-w // -(-w // 8))  # the fewest sub-chunks, evenly wide
-                subs = [_chunk_tables(lefts, inv, base + j, min(s, bits - j))
-                        for j in range(0, w, s)]
-                # rows join entrywise, masks by OR, lists end to end
-                chunks.append([_Wide([sub[k] for sub in subs], s, join)
-                               for k, join in enumerate((_or_rows, or_, add))])
-            tables = _ActionTables(w, (1 << w) - 1, *map(list, zip(*chunks)))
+            chunks = [_chunk_tables(lefts, inv, base, min(w, n - base))
+                      for base in range(0, k * w, w)]
+            # triples[j] holds the (rows, invert, elems) triples of chunks 3j..3j+2
+            triples = [list(zip(*chunks[j:j + 3])) for j in range(0, k, 3)]
+            tables = _ActionTables(w, (1 << w) - 1, *map(list, zip(*triples)))
             self._tables = tables
         return tables
 

@@ -100,8 +100,11 @@ def parse_set_literal(text: str, n: int) -> ElemSet:
 
 def invert_mask(G: GroupTable, mask: int) -> int:
     t = G.action_tables()
-    w, cm, (i0, i1, i2) = t.width, t.chunk_mask, t.invert
-    return i0[mask & cm] | i1[mask >> w & cm] | i2[mask >> 2 * w & cm]
+    w, cm, out = t.width, t.chunk_mask, 0
+    for i0, i1, i2 in t.invert:
+        out |= i0[mask & cm] | i1[mask >> w & cm] | i2[mask >> 2 * w & cm]
+        mask >>= 3 * w
+    return out
 
 
 def product_mask(G: GroupTable, amask: int, bmask: int) -> int:
@@ -116,11 +119,16 @@ def quotient_mask(G: GroupTable, mask: int) -> int:
 
 def _quotient(t, amask: int, bmask: int) -> int:
     """inv(A)*B, read from B's rows: the one row lookup of every set operation."""
-    w, cm, (t0, t1, t2), (e0, e1, e2) = t.width, t.chunk_mask, t.rows, t.elems
-    r0, r1, r2 = t0[bmask & cm], t1[bmask >> w & cm], t2[bmask >> 2 * w & cm]
+    w, cm, elems = t.width, t.chunk_mask, t.elems
     out = bmask if amask & 1 else 0
-    for a in e0[amask & cm] + e1[amask >> w & cm] + e2[amask >> 2 * w & cm]:
-        out |= r0[a] | r1[a] | r2[a]
+    for t0, t1, t2 in t.rows:
+        r0, r1, r2 = t0[bmask & cm], t1[bmask >> w & cm], t2[bmask >> 2 * w & cm]
+        bmask >>= 3 * w
+        a = amask
+        for e0, e1, e2 in elems:
+            for x in e0[a & cm] + e1[a >> w & cm] + e2[a >> 2 * w & cm]:
+                out |= r0[x] | r1[x] | r2[x]
+            a >>= 3 * w
     return out
 
 

@@ -226,6 +226,24 @@ def test_catalog_sweep_checks_orders_before_building_groups(
     assert message in err
 
 
+def test_groups_file_is_checked_as_each_group_is_built(capsys, monkeypatch, tmp_path):
+    # cyclic 40 is past the hard sweep cap, so cyclic 5 is never built
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return build_group(spec)
+
+    monkeypatch.setattr(cli, "build_group", counted)
+    listing = tmp_path / "groups.txt"
+    listing.write_text("cyclic 40\ncyclic 5\n")
+    code, out, err = run(capsys, ["census", "--groups-file", str(listing)])
+    assert code == 2
+    assert out == ""
+    assert "order 40 exceeds the hard sweep cap 32" in err
+    assert built == ["cyclic 40"]
+
+
 def test_sizes_range_is_checked_for_every_group_before_sweeping(capsys, tmp_path):
     # 1..10 fits cyclic 12 but not the later cyclic 4, so nothing may run
     listing = tmp_path / "groups.txt"

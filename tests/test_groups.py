@@ -60,38 +60,36 @@ def _check_chunk(G, base, tables):
 
 
 def test_action_tables_layout_and_entries(make_group):
-    # Three chunks of ceil(n/3) bits up to order 36; past it each chunk is
-    # stored as sub-chunks of at most 8 bits.  The orders run upwards so a
+    # One triple of ceil(n/3)-bit chunks up to order 36; past it, triples of
+    # chunks of at most 8 bits, so no chunk has more than 256 rows and the
+    # row tables hold at most 32 * n^2 masks.  The orders run upwards so a
     # layout that would ask for 2^24-row chunks at cyclic 70 fails at
-    # cyclic 37 first.
-    wide = {37: (13, 7, 2), 70: (24, 8, 3)}  # width, sub-chunk width, sub-chunks
+    # cyclic 37 first; cyclic 97's last chunk lies wholly past the order.
+    row_masks = {37: 23_828, 48: 73_728, 49: 25_186, 70: 147_840, 97: 167_713,
+                 120: 460_800}
     groups = [make_group(spec) for spec in catalog_specs(16)]
-    groups += [build_group(f"cyclic {n}") for n in (33, 36, 37, 70)]
+    groups += [build_group(f"cyclic {n}") for n in (33, 36, *row_masks)]
     for G in groups:
         n = G.order
         t = G.action_tables()
-        w = -(-n // 3)
-        assert t.width == w and t.chunk_mask == (1 << w) - 1
+        w, triples = t.width, len(t.rows)
+        assert t.chunk_mask == (1 << w) - 1
+        if n <= 36:
+            assert (triples, w) == (1, -(-n // 3))
+        else:
+            assert w <= 8
+            assert 3 * (triples - 1) * w < n <= 3 * triples * w
         tables = (t.rows, t.invert, t.elems)
-        assert all(len(table) == 3 for table in tables)
-        for c in range(3):
+        assert all(len(table) == triples and all(len(triple) == 3 for triple in table)
+                   for table in tables)
+        chunks = [chunk for triple in zip(*tables) for chunk in zip(*triple)]
+        for c, chunk in enumerate(chunks):
             base, bits = c * w, max(0, min(w, n - c * w))
-            if n <= 36:
-                assert all(len(table[c]) == 1 << bits for table in tables)
-                _check_chunk(G, base, [table[c] for table in tables])
-                continue
-            s = t.rows[c].width
-            assert (w, s, len(t.rows[c].parts)) == wide[n]
-            for j, parts in enumerate(zip(*(table[c].parts for table in tables))):
-                assert all(len(part) <= 1 << 8 for part in parts)
-                _check_chunk(G, base + j * s, parts)
-            # a lookup joins the sub-chunk entries
-            full = (1 << bits) - 1
-            X = range(base, base + bits)
-            assert t.elems[c][full] == [x for x in X if x]
-            assert t.invert[c][full] == sum(1 << G.inv[x] for x in X)
-            assert t.rows[c][full] == [sum(1 << y for y in {G.mul[G.inv[a]][x] for x in X})
-                                       for a in range(n)]
+            assert all(len(table) == 1 << bits for table in chunk)
+            _check_chunk(G, base, chunk)
+        if n > 36:
+            masks = sum(len(rows) for rows, _, _ in chunks) * n
+            assert masks == row_masks[n] <= 32 * n * n
 
 
 def test_action_tables_refuse_orders_past_the_table_cap():

@@ -91,9 +91,11 @@ def test_elemset_validates_its_mask():
 def test_kernels_match_oracles_randomized(make_group):
     rng = random.Random(0x5E75)
     specs = catalog_specs(16)
-    # dihedral 16 (order 32, w = 11) has the widest plain tables, and
-    # dihedral 20 (order 40) reads the sub-chunk tables past order 36
-    for spec in [rng.choice(specs) for _ in range(300)] + ["dihedral 16", "dihedral 20"] * 20:
+    # dihedral 16 (order 32, w = 11) has the widest chunks; past order 36
+    # dihedral 20 reads two triples, symmetric 5 five, and cyclic 97's last
+    # chunk lies wholly past the order
+    wide = ["dihedral 16", "dihedral 20", "symmetric 5", "cyclic 97"]
+    for spec in [rng.choice(specs) for _ in range(300)] + wide * 20:
         G = make_group(spec)
         n = G.order
         A = random_subset(rng, n)
@@ -157,8 +159,10 @@ def test_wrong_order_sets_are_rejected(c8):
 def test_rep_counts_match_oracle(make_group):
     rng = random.Random(0xBEEF)
     specs = catalog_specs(12)
-    # dihedral 20 (order 40) reads the sub-chunk tables past order 36
-    for spec in [rng.choice(specs) for _ in range(200)] + ["dihedral 20"] * 20:
+    # past order 36 dihedral 20 reads two triples, symmetric 5 five, and
+    # cyclic 97's last chunk lies wholly past the order
+    wide = ["dihedral 20", "symmetric 5", "cyclic 97"]
+    for spec in [rng.choice(specs) for _ in range(200)] + wide * 20:
         G = make_group(spec)
         n = G.order
         A = random_subset(rng, n)

@@ -120,8 +120,9 @@ def test_normalizer_contains_subgroup_and_is_a_subgroup(make_group):
 
 
 def test_left_coset_table_matches_naive_cosets(make_group):
-    # dihedral 20 (order 40) reads the sub-chunk tables past order 36
-    for G in (make_group("symmetric 4"), make_group("dihedral 20")):
+    # dihedral 20 (order 40) reads two triples of chunks, dihedral 28
+    # (order 56) three
+    for G in map(make_group, ("symmetric 4", "dihedral 20", "dihedral 28")):
         for H in all_subgroups(G):
             cosets = left_cosets(G, H)
             assert len(cosets) == G.order
