@@ -553,7 +553,7 @@ def test_sweep_reports_match_golden_digests(capsys, argv, digest):
 
 # sha256 of stdout for the verbs that read normalizers, right cosets and
 # representation counts outside the sweeps; dihedral 20 (order 40) is past
-# order 36, where the action tables are stored as sub-chunks
+# order 36, where the action tables hold two triples of chunks
 @pytest.mark.parametrize("argv, digest", [
     (["check-lemmas", "--group", "symmetric 4", "--box-trials", "30", "--seed", "5"],
      "157890ae61bbc7a925d3fa1b97b47926fbe3e1e435d8be5828e5aac07bb738bd"),

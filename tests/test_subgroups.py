@@ -103,7 +103,7 @@ def test_ensure_subgroup_accepts_and_rejects(d4):
 
 
 def test_normalizer_matches_oracle(make_group):
-    # dihedral 20 (order 40) reads the sub-chunk tables past order 36
+    # dihedral 20 (order 40) reads two triples of chunks
     for spec in ("dihedral 4", "symmetric 4", "dicyclic 3", "dihedral 20"):
         G = make_group(spec)
         for H in all_subgroups(G):
