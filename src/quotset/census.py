@@ -125,15 +125,15 @@ HARD_CENSUS_CAP = 32
 _POOL_MIN_ORDER = 18
 
 
-def check_sizes(G: GroupTable, sizes) -> tuple[int, int]:
-    """The size range ``(lo, hi)`` a census of G would sweep.
+def check_sizes(order: int, sizes) -> tuple[int, int]:
+    """The size range ``(lo, hi)`` a census of a group of this order would sweep.
 
-    ``None`` means every size; raises ValueError for a range G cannot hold.
+    ``None`` means every size; raises ValueError for a range it cannot hold.
     """
-    lo, hi = (1, G.order) if sizes is None else sizes
-    if not 1 <= lo <= hi <= G.order:
+    lo, hi = (1, order) if sizes is None else sizes
+    if not 1 <= lo <= hi <= order:
         raise ValueError(
-            f"size range must satisfy 1 <= lo <= hi <= {G.order}, got {sizes!r}")
+            f"size range must satisfy 1 <= lo <= hi <= {order}, got {sizes!r}")
     return lo, hi
 
 
@@ -517,7 +517,7 @@ def classification_census(G: GroupTable, sizes=None, jobs: int = 1,
     """
     start = time.perf_counter()
     check_sweep_cap(G.order, allow_big)
-    lo, hi = check_sizes(G, sizes)
+    lo, hi = check_sizes(G.order, sizes)
     partials = _sweep_partitions(G, jobs, _census_partition, lo, hi)
 
     best: dict[int, list] = {}

@@ -34,10 +34,10 @@ from .classify import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     GroupSpecError,
-    GroupTable,
     build_group,
     catalog_entries,
     parse_spec_lines,
+    spec_order,
     verify_group_axioms,
 )
 from .setops import ElemSet, check_counting_bounds, parse_set_literal
@@ -151,13 +151,12 @@ def _catalog(max_order: int) -> list[tuple[int, str]]:
     return catalog_entries(max_order)
 
 
-def _sweep_groups(args, sizes=None) -> list[GroupTable]:
-    """Build every selected group and check it against the caps and any
-    ``--sizes`` range as soon as it is built, so a group that would fail
-    fails the command before any later group is built or any sweep runs.
-    Catalog groups are checked against the caps by their listed orders,
-    before any of them is built, and with ``--sizes`` the catalog leaves
-    out the groups whose order is below the range's upper end."""
+def _sweep_specs(args, sizes=None) -> list[str]:
+    """The selected specs, each checked by its order against the caps and
+    any ``--sizes`` range before any group is built, so a group that would
+    fail fails the command before any table is built or any sweep runs.
+    With ``--sizes`` the catalog leaves out the groups whose order is below
+    the range's upper end."""
     if args.group is not None:
         specs = [args.group]
     elif args.groups_file is not None:
@@ -172,16 +171,12 @@ def _sweep_groups(args, sizes=None) -> list[GroupTable]:
             if not entries:
                 raise ValueError(f"no catalog group of order at most "
                                  f"{args.max_order} holds sets of size {sizes[1]}")
-        for order, _ in entries:
-            check_sweep_cap(order, args.allow_big)
         specs = [spec for _, spec in entries]
-    groups = []
     for spec in specs:
-        G = build_group(spec)
-        check_sweep_cap(G.order, args.allow_big)
-        check_sizes(G, sizes)
-        groups.append(G)
-    return groups
+        order = spec_order(spec)
+        check_sweep_cap(order, args.allow_big)
+        check_sizes(order, sizes)
+    return specs
 
 
 def _check_output(path: str) -> None:
@@ -243,9 +238,8 @@ def _run_classify(args):
 def _run_census(args):
     findings = []
     reports = []
-    groups = _sweep_groups(args, args.sizes)
-    while groups:
-        G = groups.pop(0)  # a swept group's caches are freed with it
+    for spec in _sweep_specs(args, args.sizes):
+        G = build_group(spec)
         report = classification_census(G, sizes=args.sizes, jobs=args.jobs,
                                        allow_big=args.allow_big)
         print(f"census {G.spec}: {report.subsets_scanned} subsets in "
@@ -260,9 +254,8 @@ def _run_census(args):
 def _run_conjecture_scan(args):
     findings = []
     reports = []
-    groups = _sweep_groups(args)
-    while groups:
-        G = groups.pop(0)  # a swept group's caches are freed with it
+    for spec in _sweep_specs(args):
+        G = build_group(spec)
         report = structure_scan(G, args.n, jobs=args.jobs,
                                 allow_big=args.allow_big)
         print(f"conjecture-scan {G.spec}: {report.subsets_scanned} subsets in "

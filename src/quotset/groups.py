@@ -24,6 +24,11 @@ image tuple (the identity ranks first); dicyclic ids 0..2M-1 are a^i and ids
 2M..4M-1 are a^i x; product ids are i*|B|+j for the pair (i, j); perm-spec
 ids are assigned by breadth-first closure from the identity, expanding each
 element by the generators in listed order.
+
+A spec parses to its order before any table is built: ``spec_order`` runs
+every check ``build_group`` does, the order cap included, and builds
+nothing.  Cyclic, dihedral and dicyclic tables all come from one metacyclic
+presentation, ``_metacyclic_table``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "GroupSpecError",
     "GroupTable",
     "build_group",
+    "spec_order",
     "verify_group_axioms",
     "catalog_entries",
     "catalog_specs",
@@ -178,49 +184,22 @@ class GroupTable:
 # family builders
 
 
-def _cyclic_table(n: int) -> GroupTable:
-    mul = [[(x + y) % n for y in range(n)] for x in range(n)]
-    inv = [(-x) % n for x in range(n)]
-    names = [str(x) for x in range(n)]
-    return GroupTable(n, mul, inv, names, f"cyclic {n}")
-
-
-def _dihedral_table(n: int) -> GroupTable:
-    # id i < n is the rotation r^i, id n + i is the reflection r^i s;
-    # multiplication uses s r = r^-1 s.
-    order = 2 * n
-    mul = [[0] * order for _ in range(order)]
-    for x in range(order):
-        xi, xs = (x, 0) if x < n else (x - n, 1)
-        for y in range(order):
-            yi, ys = (y, 0) if y < n else (y - n, 1)
-            i = (xi - yi) % n if xs else (xi + yi) % n
-            mul[x][y] = i + n * (xs ^ ys)
-    inv = [(-x) % n if x < n else x for x in range(order)]
-    names = [f"r^{i}" for i in range(n)] + [f"r^{i} s" for i in range(n)]
-    return GroupTable(order, mul, inv, names, f"dihedral {n}")
-
-
-def _dicyclic_table(m: int) -> GroupTable:
-    # id i < 2m is a^i, id 2m + i is a^i x, with x^2 = a^m and x a = a^-1 x.
-    n2 = 2 * m
-    order = 4 * m
-    mul = [[0] * order for _ in range(order)]
-    for x in range(order):
-        xi, xs = (x, 0) if x < n2 else (x - n2, 1)
-        for y in range(order):
-            yi, ys = (y, 0) if y < n2 else (y - n2, 1)
-            if not xs and not ys:
-                mul[x][y] = (xi + yi) % n2
-            elif not xs:
-                mul[x][y] = n2 + (xi + yi) % n2
-            elif not ys:
-                mul[x][y] = n2 + (xi - yi) % n2
-            else:
-                mul[x][y] = (xi - yi + m) % n2
-    inv = [(-x) % n2 if x < n2 else n2 + (x - n2 + m) % n2 for x in range(order)]
-    names = [f"a^{i}" for i in range(n2)] + [f"a^{i} x" for i in range(n2)]
-    return GroupTable(order, mul, inv, names, f"dicyclic {m}")
+def _metacyclic_table(m, n, t, r, names, spec) -> GroupTable:
+    # <a, b | a^m, b^n = a^t, b a b^-1 = a^r>, with id i + m*j for a^i b^j.
+    # The row of b^j is b^j a^k b^l = a^(k r^j) b^(j + l), b^n folding to
+    # a^t, and the row of a^(i+1) b^j is a times the row of a^i b^j.
+    order = m * n
+    left_a = [(x + 1) % m + x - x % m for x in range(order)]  # id of a*x
+    mul = []
+    for j in range(n):
+        rj = pow(r, j, m)
+        row = [(k * rj + (t if j + l >= n else 0)) % m + m * ((j + l) % n)
+               for l in range(n) for k in range(m)]
+        for _ in range(m):
+            mul.append(row)
+            row = list(map(left_a.__getitem__, row))
+    inv = [row.index(0) for row in mul]
+    return GroupTable(order, mul, inv, names, spec)
 
 
 def _cycle_name(images) -> str:
@@ -262,7 +241,8 @@ def _symmetric_table(k: int) -> GroupTable:
     return _table_from_perms(elems, k, f"symmetric {k}")
 
 
-def _perm_closure_table(degree, gens, original, base) -> GroupTable:
+def _perm_closure(degree, gens, original, base) -> list:
+    """The elements the generators close to, in breadth-first order from the identity."""
     ident = tuple(range(1, degree + 1))
     elems = [ident]
     index = {ident: 0}
@@ -279,17 +259,11 @@ def _perm_closure_table(degree, gens, original, base) -> GroupTable:
                         original, base)
                 index[q] = len(elems)
                 elems.append(q)
-    gen_text = ",".join("(" + " ".join(map(str, g)) + ")" for g in gens)
-    spec = f"perm degree={degree} gens=[{gen_text}]"
-    return _table_from_perms(elems, degree, spec)
+    return elems
 
 
-def _product_table(a: GroupTable, b: GroupTable, original, base) -> GroupTable:
+def _product_table(a: GroupTable, b: GroupTable) -> GroupTable:
     order = a.order * b.order
-    if order > DEFAULT_ORDER_CAP:
-        raise GroupSpecError(
-            f"product order {order} exceeds the order cap {DEFAULT_ORDER_CAP}",
-            original, base)
     nb = b.order
     mul = [[0] * order for _ in range(order)]
     for i in range(a.order):
@@ -322,10 +296,19 @@ def build_group(spec: str) -> GroupTable:
     The returned table's ``spec`` field is the whitespace-normalized form of
     the input, and identical spec strings always rebuild identical tables.
     """
+    return _parse(spec)[1]()
+
+
+def spec_order(spec: str) -> int:
+    """The order of the group ``spec`` describes, raising ``GroupSpecError``
+    as ``build_group`` would, but building no table."""
+    return _parse(spec)[0]
+
+
+def _parse(spec):
     if not spec or not spec.strip():
         raise GroupSpecError("empty group spec", spec=spec or "", column=0)
-    stripped = spec.strip()
-    return _parse_spec(spec, stripped, len(spec) - len(spec.lstrip()))
+    return _parse_spec(spec, spec.strip(), len(spec) - len(spec.lstrip()))
 
 
 def _parse_int(token, original, column):
@@ -334,7 +317,9 @@ def _parse_int(token, original, column):
     return int(token)
 
 
-def _parse_spec(original, text, base) -> GroupTable:
+def _parse_spec(original, text, base):
+    """``(order, build)`` for the spec ``text``: every check, the order cap
+    included, runs here, and ``build()`` makes the table."""
     word = text.split(None, 1)[0]
     if word == "product":
         rest = text[len("product"):]
@@ -354,9 +339,14 @@ def _parse_spec(original, text, base) -> GroupTable:
                 "nest products to the right", original, lhs_base)
         if not rhs_stripped:
             raise GroupSpecError("product spec is missing its right factor", original, base)
-        a = _parse_spec(original, lhs_stripped, lhs_base)
-        b = _parse_spec(original, rhs_stripped, rhs_base)
-        return _product_table(a, b, original, base)
+        a_order, build_a = _parse_spec(original, lhs_stripped, lhs_base)
+        b_order, build_b = _parse_spec(original, rhs_stripped, rhs_base)
+        order = a_order * b_order
+        if order > DEFAULT_ORDER_CAP:
+            raise GroupSpecError(
+                f"product order {order} exceeds the order cap {DEFAULT_ORDER_CAP}",
+                original, base)
+        return order, lambda: _product_table(build_a(), build_b())
 
     if word == "perm" or word.startswith("perm"):
         m = _PERM_RE.fullmatch(text)
@@ -382,37 +372,44 @@ def _parse_spec(original, text, base) -> GroupTable:
                     f"generator ({body}) is not a permutation of 1..{degree}",
                     original, base + m.start(2))
             gens.append(images)
-        return _perm_closure_table(degree, gens, original, base)
+        elems = _perm_closure(degree, gens, original, base)
+        gen_text = ",".join("(" + " ".join(map(str, g)) + ")" for g in gens)
+        spec = f"perm degree={degree} gens=[{gen_text}]"
+        return len(elems), lambda: _table_from_perms(elems, degree, spec)
 
     m = _FAMILY_RE.fullmatch(text)
     if not m:
         raise GroupSpecError(f"unknown group family {word!r}", original, base)
     family = m.group(1)
     value = _parse_int(m.group(2), original, base + m.start(2))
+    spec = f"{family} {value}"
     if family == "cyclic":
         if value < 1:
             raise GroupSpecError("cyclic needs N >= 1", original, base + m.start(2))
         order = value
-        builder = _cyclic_table
+        build = lambda: _metacyclic_table(value, 1, 0, 1, map(str, range(value)), spec)
     elif family == "dihedral":
         if value < 1:
             raise GroupSpecError("dihedral needs N >= 1", original, base + m.start(2))
         order = 2 * value
-        builder = _dihedral_table
+        build = lambda: _metacyclic_table(
+            value, 2, 0, -1, [f"r^{i}{s}" for s in ("", " s") for i in range(value)], spec)
     elif family == "symmetric":
         if not 1 <= value <= 5:
             raise GroupSpecError("symmetric needs 1 <= K <= 5", original, base + m.start(2))
         order = math.factorial(value)
-        builder = _symmetric_table
+        build = lambda: _symmetric_table(value)
     else:
         if value < 2:
             raise GroupSpecError("dicyclic needs M >= 2", original, base + m.start(2))
         order = 4 * value
-        builder = _dicyclic_table
+        build = lambda: _metacyclic_table(
+            2 * value, 2, value, -1,
+            [f"a^{i}{x}" for x in ("", " x") for i in range(2 * value)], spec)
     if order > DEFAULT_ORDER_CAP:
         raise GroupSpecError(f"order {order} exceeds the order cap {DEFAULT_ORDER_CAP}",
                              original, base)
-    return builder(value)
+    return order, build
 
 
 def parse_spec_lines(text: str) -> list[str]:

@@ -12,7 +12,7 @@ import pytest
 
 from quotset import cli
 from quotset.cli import main
-from quotset.groups import build_group, catalog_entries, catalog_specs
+from quotset.groups import build_group, catalog_entries, catalog_specs, spec_order
 
 
 def run(capsys, argv):
@@ -64,13 +64,20 @@ def test_classify_json_document(capsys):
     assert doc["findings"] == []
 
 
-def test_classify_json_not_small(capsys):
+@pytest.mark.parametrize("group, elements, quotient_size", [
+    ("cyclic 7", [0, 1, 3], 7),
+    # order 120 is past the subgroup cap 64 but within the table cap: a
+    # not-small set needs only its quotient set, so it is classified
+    ("symmetric 5", list(range(72)), 120),
+])
+def test_classify_json_not_small(capsys, group, elements, quotient_size):
     code, out, _ = run(capsys, [
-        "classify", "--group", "cyclic 7", "--set", "{0, 1, 3}",
+        "classify", "--group", group, "--set", "{" + ", ".join(map(str, elements)) + "}",
         "--format", "json"])
     assert code == 0  # not-small is a verdict, not a finding
     doc = json.loads(out)
     assert doc["kind"] == "not-small"
+    assert doc["quotient_size"] == quotient_size
     assert doc["subgroup"] is None
     assert doc["fused_window"] is None
     assert doc["structure_checks"] is None
@@ -226,8 +233,8 @@ def test_catalog_sweep_checks_orders_before_building_groups(
     assert message in err
 
 
-def test_groups_file_is_checked_as_each_group_is_built(capsys, monkeypatch, tmp_path):
-    # cyclic 40 is past the hard sweep cap, so cyclic 5 is never built
+def test_groups_file_is_checked_before_any_group_is_built(capsys, monkeypatch, tmp_path):
+    # cyclic 40 is past the hard sweep cap, and its spec says so
     built = []
 
     def counted(spec):
@@ -241,7 +248,25 @@ def test_groups_file_is_checked_as_each_group_is_built(capsys, monkeypatch, tmp_
     assert code == 2
     assert out == ""
     assert "order 40 exceeds the hard sweep cap 32" in err
-    assert built == ["cyclic 40"]
+    assert built == []
+
+
+@pytest.mark.parametrize("verb", [["census"], ["conjecture-scan", "--n", "1"]])
+@pytest.mark.parametrize("spec, message", [
+    ("cyclic 5040", "order 5040 exceeds the hard sweep cap 32"),
+    ("product cyclic 60 ; cyclic 60", "order 3600 exceeds the hard sweep cap 32"),
+    ("perm degree=8 gens=[(2 3 4 5 6 7 8 1),(2 1 3 4 5 6 7 8)]",
+     "permutation closure exceeds the order cap 5040"),
+], ids=["cyclic", "product", "perm"])
+def test_a_large_group_is_refused_before_its_table_is_built(capsys, monkeypatch,
+                                                            verb, spec, message):
+    def refuse(spec):
+        raise AssertionError(f"built {spec} before checking its order")
+
+    monkeypatch.setattr(cli, "build_group", refuse)
+    code, out, err = run(capsys, [verb[0], "--group", spec, *verb[1:]])
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_sizes_range_is_checked_for_every_group_before_sweeping(capsys, tmp_path):
@@ -433,6 +458,7 @@ def test_catalog_orders_come_from_the_specs(capsys):
     assert [g["spec"] for g in groups] == catalog_specs(30)
     for g in groups:
         assert g["order"] == build_group(g["spec"]).order, g["spec"]
+        assert g["order"] == spec_order(g["spec"]), g["spec"]
 
 
 @pytest.mark.parametrize("verb", [

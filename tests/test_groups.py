@@ -11,6 +11,7 @@ from quotset.groups import (
     build_group,
     catalog_specs,
     parse_spec_lines,
+    spec_order,
     verify_group_axioms,
 )
 
@@ -122,21 +123,24 @@ def test_known_orders(make_group):
         ("perm degree=3 gens=[]", 1),
     ]:
         assert make_group(spec).order == order, spec
+        assert spec_order(spec) == order, spec
 
 
-def test_cyclic_multiplication_is_addition(make_group):
-    G = make_group("cyclic 9")
-    for a in range(9):
-        for b in range(9):
-            assert G.mul[a][b] == (a + b) % 9
-    assert all(G.inv[a] == (-a) % 9 for a in range(9))
+@pytest.mark.parametrize("n", [1, 9, 20])
+def test_cyclic_multiplication_is_addition(make_group, n):
+    G = make_group(f"cyclic {n}")
+    for a in range(n):
+        for b in range(n):
+            assert G.mul[a][b] == (a + b) % n
+    assert all(G.inv[a] == (-a) % n for a in range(n))
+    assert G.element_names == tuple(str(a) for a in range(n))
 
 
-def test_dihedral_labeling_and_law(make_group):
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_dihedral_labeling_and_law(make_group, n):
     # ids 0..n-1 are the rotations r^i, ids n..2n-1 the reflections r^i s,
     # and (r^a s^e)(r^b s^f) = r^(a + (-1)^e b) s^(e xor f)
-    n = 5
-    G = make_group("dihedral 5")
+    G = make_group(f"dihedral {n}")
     for a in range(n):
         for e in (0, 1):
             x = a + n * e
@@ -145,8 +149,8 @@ def test_dihedral_labeling_and_law(make_group):
                     y = b + n * f
                     exp = (a + (b if e == 0 else -b)) % n
                     assert G.mul[x][y] == exp + n * (e ^ f)
-    assert G.element_names[1] == "r^1"
-    assert G.element_names[n] == "r^0 s"
+    assert G.element_names == tuple(
+        [f"r^{i}" for i in range(n)] + [f"r^{i} s" for i in range(n)])
 
 
 def test_symmetric_composition_applies_left_factor_first(s3):
@@ -158,18 +162,20 @@ def test_symmetric_composition_applies_left_factor_first(s3):
     assert s3.mul[2][1] == 4
 
 
-def test_dicyclic_relations(q8):
-    # a has order 2m, x^2 = a^m, and x a x^-1 = a^-1; ids are a^i then a^i x
-    m = 2
-    a, x = 1, 2 * m
-    assert q8.element_names[a] == "a^1"
-    assert q8.element_names[x] == "a^0 x"
-    assert q8.mul[x][x] == m
-    assert q8.mul[q8.mul[x][a]][q8.inv[x]] == q8.inv[a]
-    cur = 0
-    for _ in range(2 * m):
-        cur = q8.mul[cur][a]
-    assert cur == 0  # a^(2m) = e
+@pytest.mark.parametrize("m", [2, 3, 5, 6])
+def test_dicyclic_relations(make_group, m):
+    # ids 0..2m-1 are a^i, ids 2m..4m-1 are a^i x; a has order 2m, x^2 = a^m
+    # and x a x^-1 = a^-1, so (a^i x^e)(a^k x^f) = a^(i + (-1)^e k + m [e = f = 1]) x^(e xor f)
+    G = make_group(f"dicyclic {m}")
+    n = 2 * m
+    for i in range(n):
+        for e in (0, 1):
+            for k in range(n):
+                for f in (0, 1):
+                    exp = (i + (-k if e else k) + (m if e and f else 0)) % n
+                    assert G.mul[i + n * e][k + n * f] == exp + n * (e ^ f)
+    assert G.element_names == tuple(
+        [f"a^{i}" for i in range(n)] + [f"a^{i} x" for i in range(n)])
 
 
 def test_product_is_componentwise(make_group):
@@ -253,15 +259,17 @@ def test_spec_errors_name_the_offending_column():
 
 
 def test_order_cap_is_enforced():
-    # S8 by a cycle and a transposition: the closure passes 7! = 5040 elements
-    with pytest.raises(GroupSpecError,
-                       match="^permutation closure exceeds the order cap 5040 "):
-        build_group("perm degree=8 gens=[(2 3 4 5 6 7 8 1),(2 1 3 4 5 6 7 8)]")
-    with pytest.raises(GroupSpecError, match="^order 6000 exceeds the order cap 5040 "):
-        build_group("cyclic 6000")
-    with pytest.raises(GroupSpecError,
-                       match="^product order 5112 exceeds the order cap 5040 "):
-        build_group("product cyclic 71 ; cyclic 72")
+    # S8 by a cycle and a transposition: the closure passes 7! = 5040 elements;
+    # spec_order refuses each spec with the message build_group gives
+    for spec, message in [
+        ("perm degree=8 gens=[(2 3 4 5 6 7 8 1),(2 1 3 4 5 6 7 8)]",
+         "^permutation closure exceeds the order cap 5040 "),
+        ("cyclic 6000", "^order 6000 exceeds the order cap 5040 "),
+        ("product cyclic 71 ; cyclic 72", "^product order 5112 exceeds the order cap 5040 "),
+    ]:
+        for parse in (build_group, spec_order):
+            with pytest.raises(GroupSpecError, match=message):
+                parse(spec)
 
 
 def test_parse_spec_lines_strips_comments_and_blanks():
