@@ -25,10 +25,9 @@ image tuple (the identity ranks first); dicyclic ids 0..2M-1 are a^i and ids
 ids are assigned by breadth-first closure from the identity, expanding each
 element by the generators in listed order.
 
-A spec parses to its order before any table is built: ``spec_order`` runs
-every check ``build_group`` does, the order cap included, and builds
-nothing.  Cyclic, dihedral and dicyclic tables all come from one metacyclic
-presentation, ``_metacyclic_table``.
+``spec_order`` runs every check ``build_group`` does, the order cap
+included, but builds no table.  Cyclic, dihedral and dicyclic tables come
+from one metacyclic presentation.
 """
 
 from __future__ import annotations
@@ -236,11 +235,6 @@ def _table_from_perms(elems, degree, spec):
     return GroupTable(len(elems), mul, inv, names, spec)
 
 
-def _symmetric_table(k: int) -> GroupTable:
-    elems = list(itertools.permutations(range(1, k + 1)))
-    return _table_from_perms(elems, k, f"symmetric {k}")
-
-
 def _perm_closure(degree, gens, original, base) -> list:
     """The elements the generators close to, in breadth-first order from the identity."""
     ident = tuple(range(1, degree + 1))
@@ -398,7 +392,8 @@ def _parse_spec(original, text, base):
         if not 1 <= value <= 5:
             raise GroupSpecError("symmetric needs 1 <= K <= 5", original, base + m.start(2))
         order = math.factorial(value)
-        build = lambda: _symmetric_table(value)
+        build = lambda: _table_from_perms(
+            list(itertools.permutations(range(1, value + 1))), value, spec)
     else:
         if value < 2:
             raise GroupSpecError("dicyclic needs M >= 2", original, base + m.start(2))
