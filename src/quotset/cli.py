@@ -33,6 +33,7 @@ from .classify import (
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
+    TABLE_ORDER_CAP,
     GroupSpecError,
     build_group,
     catalog_entries,
@@ -41,7 +42,12 @@ from .groups import (
     verify_group_axioms,
 )
 from .setops import ElemSet, check_counting_bounds, parse_set_literal
-from .subgroups import all_subgroups, check_coset_laws, ensure_subgroup
+from .subgroups import (
+    DEFAULT_SUBGROUP_CAP,
+    all_subgroups,
+    check_coset_laws,
+    ensure_subgroup,
+)
 
 __all__ = ["main"]
 
@@ -179,6 +185,20 @@ def _sweep_specs(args, sizes=None) -> list[str]:
     return specs
 
 
+def _build_tabled(spec: str, enumerates: bool = False):
+    """``build_group(spec)`` for a verb that needs the group's action tables,
+    and with ``enumerates`` its subgroups: a spec whose order is past the
+    table cap, or the subgroup cap, is refused by its order before any
+    table is built, with the message the cap gives."""
+    order = spec_order(spec)
+    if enumerates and order > DEFAULT_SUBGROUP_CAP:
+        raise ValueError(f"subgroup enumeration over order {order} "
+                         f"exceeds the cap {DEFAULT_SUBGROUP_CAP}")
+    if order > TABLE_ORDER_CAP:
+        raise ValueError(f"order {order} exceeds the action-table cap {TABLE_ORDER_CAP}")
+    return build_group(spec)
+
+
 def _check_output(path: str) -> None:
     """Refuse an ``--output`` PATH that is a directory or whose parent is
     not an existing directory, so that no sweep runs only to fail the
@@ -199,7 +219,7 @@ def _replay(spec: str, s: ElemSet) -> str:
 
 
 def _run_classify(args):
-    G = build_group(args.group)
+    G = _build_tabled(args.group)
     A = parse_set_literal(args.set, G.order)
     result = classify(G, A)
     three_q, five_a = result.ratio_check()
@@ -275,7 +295,7 @@ def _run_conjecture_scan(args):
 
 
 def _run_construct_extremal(args):
-    G = build_group(args.group)
+    G = _build_tabled(args.group)
     H = ensure_subgroup(G, parse_set_literal(args.subgroup, G.order))
     A = construct_threshold_example(G, H, args.g)
     result = classify(G, A)
@@ -311,7 +331,7 @@ def _random_nonempty_mask(rng: random.Random, order: int) -> int:
 def _run_check_lemmas(args):
     if args.box_trials < 0:
         raise ValueError(f"--box-trials must be at least 0, got {args.box_trials}")
-    G = build_group(args.group)
+    G = _build_tabled(args.group, enumerates=args.subgroup is None)
     # the subgroups first: their caps refuse a large group before the O(n^3) axioms
     if args.subgroup is not None:
         subgroups = [ensure_subgroup(G, parse_set_literal(args.subgroup, G.order))]

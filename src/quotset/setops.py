@@ -148,8 +148,11 @@ def subgroup_closure_mask(G: GroupTable, mask: int) -> int:
     """Bitmask of the subgroup generated by the elements of ``mask``."""
     # A set S holding the identity lies inside inv(S)*S, which stays inside
     # the subgroup S generates, and equals S only when S is a subgroup.
-    t, cur, nxt = G.action_tables(), 0, mask | 1
+    # Once S holds more than half of G, Lagrange leaves only G itself.
+    t, cur, nxt, n = G.action_tables(), 0, mask | 1, G.order
     while nxt != cur:
+        if 2 * nxt.bit_count() > n:
+            return (1 << n) - 1
         cur, nxt = nxt, _quotient(t, nxt, nxt)
     return cur
 

@@ -61,40 +61,64 @@ def ensure_subgroup(G: GroupTable, s: ElemSet) -> Subgroup:
 def all_subgroups(G: GroupTable) -> tuple[Subgroup, ...]:
     """Every subgroup of G, sorted by (order, bitmask).
 
-    Found by closing all cyclic subgroups and then joining pairs until no new
-    subgroup appears; results are cached on the group table.
+    The seed is every cyclic subgroup, each with one generator.  Each
+    subgroup H found is then extended to <H, g> for one such generator g in
+    each left coset gH outside H, and the rest of gH is skipped, since
+    <H, gh> = <H, g>.  Nothing is lost: a non-cyclic K is <M, g> for a
+    maximal M < K and the generator g of any cyclic subgroup of K outside
+    M.  Results are cached on the group table.
     """
     if G._subgroups is not None:
         return G._subgroups
     if G.order > DEFAULT_SUBGROUP_CAP:
         raise ValueError(f"subgroup enumeration over order {G.order} "
                          f"exceeds the cap {DEFAULT_SUBGROUP_CAP}")
-    masks = {subgroup_closure_mask(G, 1 << x) for x in range(G.order)}
-    items = sorted(masks)
-    i = 0
-    while i < len(items):
-        h = items[i]
-        for other in items[:i]:
-            joined = subgroup_closure_mask(G, h | other)
-            if joined not in masks:
-                masks.add(joined)
-                items.append(joined)
-        i += 1
-    subs = tuple(Subgroup(ElemSet(G.order, m), m.bit_count())
+    t, inv, n = G.action_tables(), G.inv, G.order
+    full = (1 << n) - 1
+    cyclic = {}  # each cyclic subgroup -> its first generator
+    for x in range(n):
+        cyclic.setdefault(subgroup_closure_mask(G, 1 << x), x)
+    masks = {*cyclic, full}
+    work = list(masks)
+    while work:
+        h = work.pop()
+        covered = h
+        for g in cyclic.values():
+            if covered >> g & 1:
+                continue
+            covered |= _quotient(t, 1 << inv[g], h)  # gH
+            # closed as by subgroup_closure_mask, but every step k lies
+            # between H | {g} and <H, g>, so a k found before is <H, g>
+            k = h | 1 << g
+            while k not in masks:
+                nxt = _quotient(t, k, k)
+                if nxt == k:
+                    masks.add(k)
+                    work.append(k)
+                elif 2 * nxt.bit_count() > n:
+                    nxt = full
+                k = nxt
+    subs = tuple(Subgroup(ElemSet(n, m), m.bit_count())
                  for m in sorted(masks, key=lambda m: (m.bit_count(), m)))
     G._subgroups = subs
     return subs
 
 
 def normalizer(G: GroupTable, H: Subgroup) -> ElemSet:
-    """The set of g with gH = Hg, cached per subgroup on the group table."""
+    """The set of g with gH = Hg, cached per subgroup on the group table.
+
+    N(H) is a union of left cosets of H, so one element per coset is
+    tested, reading the right coset Hg as inv(inv(g)*H).
+    """
     cached = G._normalizers.get(H.bits)
     if cached is None:
-        # the right coset Hg is inv(inv(g)*H)
         cosets = left_cosets(G, H)
-        cached = G._normalizers[H.bits] = sum(
-            1 << g for g in range(G.order)
-            if cosets[g] == invert_mask(G, cosets[G.inv[g]]))
+        cached = 0
+        for c in set(cosets):
+            g = (c & -c).bit_length() - 1
+            if c == invert_mask(G, cosets[G.inv[g]]):
+                cached |= c
+        G._normalizers[H.bits] = cached
     return ElemSet(G.order, cached)
 
 
@@ -102,14 +126,22 @@ def left_cosets(G: GroupTable, H: Subgroup) -> tuple[int, ...]:
     """``cosets[x]`` is the left coset xH as a bitmask, for every element x.
 
     The one source of cosets: right cosets are read as Hg = inv(inv(g)*H)
-    and double cosets as H*(gH).  Built on first use as xH = inv(inv(x))*H
-    by ``setops._quotient`` and cached per subgroup on the group table.
+    and double cosets as H*(gH).  Built on first use, one coset at a time:
+    xH = inv(inv(x))*H by ``setops._quotient`` for the first x outside the
+    cosets found so far, written to every element of xH.  Cached per
+    subgroup on the group table.
     """
     hbits = H.bits
     cosets = G._cosets.get(hbits)
     if cosets is None:
-        t = G.action_tables()
-        cosets = G._cosets[hbits] = tuple(_quotient(t, 1 << y, hbits) for y in G.inv)
+        t, inv = G.action_tables(), G.inv
+        out = [0] * G.order
+        for x in range(G.order):
+            if not out[x]:
+                c = _quotient(t, 1 << inv[x], hbits)
+                for y in ElemSet(G.order, c):
+                    out[y] = c
+        cosets = G._cosets[hbits] = tuple(out)
     return cosets
 
 

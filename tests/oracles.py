@@ -91,7 +91,7 @@ def naive_generated(G, gens):
 def naive_subgroups(G):
     """Every subgroup, by filtering all identity-containing subsets.
 
-    Exponential in the group order — reserve for cross-checks at order <= 12.
+    Exponential in the group order — reserve for cross-checks at order <= 16.
     A nonempty finite subset closed under multiplication is automatically
     closed under inverses, so closure is the only test needed.
     """

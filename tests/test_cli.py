@@ -251,21 +251,33 @@ def test_groups_file_is_checked_before_any_group_is_built(capsys, monkeypatch, t
     assert built == []
 
 
-@pytest.mark.parametrize("verb", [["census"], ["conjecture-scan", "--n", "1"]])
-@pytest.mark.parametrize("spec, message", [
-    ("cyclic 5040", "order 5040 exceeds the hard sweep cap 32"),
-    ("product cyclic 60 ; cyclic 60", "order 3600 exceeds the hard sweep cap 32"),
-    ("perm degree=8 gens=[(2 3 4 5 6 7 8 1),(2 1 3 4 5 6 7 8)]",
-     "permutation closure exceeds the order cap 5040"),
+@pytest.mark.parametrize("verb", [
+    ["census"], ["conjecture-scan", "--n", "1"], ["classify", "--set", "{0}"],
+    ["construct-extremal", "--subgroup", "{0}", "--g", "1"],
+    ["check-lemmas", "--subgroup", "{0}"], ["check-lemmas"]])
+@pytest.mark.parametrize("spec, order", [
+    ("cyclic 5040", 5040),
+    ("product cyclic 60 ; cyclic 60", 3600),
+    ("perm degree=8 gens=[(2 3 4 5 6 7 8 1),(2 1 3 4 5 6 7 8)]", None),
 ], ids=["cyclic", "product", "perm"])
 def test_a_large_group_is_refused_before_its_table_is_built(capsys, monkeypatch,
-                                                            verb, spec, message):
+                                                            verb, spec, order):
+    # the sweeps refuse at the sweep cap, check-lemmas over every subgroup
+    # at the subgroup cap, and the other single-group verbs at the table cap
     def refuse(spec):
         raise AssertionError(f"built {spec} before checking its order")
 
     monkeypatch.setattr(cli, "build_group", refuse)
     code, out, err = run(capsys, [verb[0], "--group", spec, *verb[1:]])
     assert (code, out) == (2, "")
+    if order is None:
+        message = "permutation closure exceeds the order cap 5040"
+    elif verb[0] in ("census", "conjecture-scan"):
+        message = f"order {order} exceeds the hard sweep cap 32"
+    elif verb == ["check-lemmas"]:
+        message = f"subgroup enumeration over order {order} exceeds the cap 64"
+    else:
+        message = f"order {order} exceeds the action-table cap 120"
     assert message in err
 
 

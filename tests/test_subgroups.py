@@ -5,7 +5,7 @@ import random
 import pytest
 
 from quotset.classify import _window_masks
-from quotset.groups import ALTERNATING4_SPEC, build_group, catalog_specs
+from quotset.groups import ALTERNATING4_SPEC, build_group, catalog_entries, catalog_specs
 from quotset.setops import ElemSet, is_subgroup_mask, subgroup_closure_mask
 from quotset.subgroups import (
     Subgroup,
@@ -43,12 +43,50 @@ def test_generated_subgroup_of_nothing_is_trivial(c8):
     assert subgroup_closure_mask(c8, 0) == 1
 
 
+def test_generated_subgroup_matches_the_oracle_past_one_chunk_triple(make_group):
+    # order 37 and 40 read two triples of chunks, and the sets that reach G
+    # (or half of it, in dihedral 20) meet the closure's early exit
+    rng = random.Random(0x37)
+    for spec, fixed in (("cyclic 37", [[1], [36], [5, 11]]),
+                        ("dihedral 20", [[1, 20], [2, 20], [2, 5], [20, 21], [10]])):
+        G = make_group(spec)
+        sets = fixed + [sorted(random_subset(rng, G.order, hi=3)) for _ in range(40)]
+        reached = 0
+        for gens in sets:
+            sub = subgroup_closure_mask(G, sum(1 << x for x in gens))
+            assert set(ElemSet(G.order, sub)) == naive_generated(G, gens), (spec, gens)
+            reached += sub == (1 << G.order) - 1
+        assert reached >= 3, spec
+
+
 def test_all_subgroups_equal_brute_force_on_small_groups(make_group):
-    for spec in ("cyclic 12", "symmetric 3", "dihedral 4", "dicyclic 2",
-                 "product cyclic 2 ; cyclic 4", ALTERNATING4_SPEC):
+    for spec in catalog_specs(16):
         G = make_group(spec)
         got = {frozenset(H) for H in all_subgroups(G)}
         assert got == set(naive_subgroups(G)), spec
+
+
+def _assert_lattice_is_closed(G):
+    subs = {H.bits for H in all_subgroups(G)}
+    for x in range(G.order):
+        assert sum(1 << y for y in naive_generated(G, [x])) in subs, x
+    for h in subs:
+        for k in subs:
+            if h < k:
+                assert subgroup_closure_mask(G, h | k) in subs, (h, k)
+
+
+def test_all_subgroups_hold_every_cyclic_subgroup_and_every_join(make_group):
+    for spec in catalog_specs(24):
+        _assert_lattice_is_closed(make_group(spec))
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("spec", [spec for order, spec in catalog_entries(32)
+                                  if order > 24])
+def test_all_subgroups_hold_every_cyclic_subgroup_and_every_join_to_order_32(
+        make_group, spec):
+    _assert_lattice_is_closed(make_group(spec))
 
 
 def test_subgroup_counts_are_frozen(make_group):
@@ -63,6 +101,14 @@ def test_subgroup_counts_are_frozen(make_group):
         ("symmetric 4", 30),
         ("dihedral 12", 34),
         ("product cyclic 2 ; product cyclic 2 ; product cyclic 2 ; cyclic 2", 67),
+        # past order 16, from closed forms: C2^k has sum_j [k choose j]_2
+        # subgroups, and dihedral n has d(n) + sigma(n)
+        ("product cyclic 2 ; product cyclic 2 ; product cyclic 2 ; product cyclic 2"
+         " ; cyclic 2", 374),
+        ("product cyclic 2 ; product cyclic 2 ; product cyclic 2 ; product cyclic 2"
+         " ; product cyclic 2 ; cyclic 2", 2825),
+        ("dihedral 16", 36),
+        ("dihedral 31", 34),
     ]:
         assert len(all_subgroups(make_group(spec))) == count, spec
 
@@ -103,8 +149,8 @@ def test_ensure_subgroup_accepts_and_rejects(d4):
 
 
 def test_normalizer_matches_oracle(make_group):
-    # dihedral 20 (order 40) reads two triples of chunks
-    for spec in ("dihedral 4", "symmetric 4", "dicyclic 3", "dihedral 20"):
+    # dihedral 20 (order 40) and cyclic 37 read two triples of chunks
+    for spec in catalog_specs(16) + ["symmetric 4", "dihedral 20", "cyclic 37"]:
         G = make_group(spec)
         for H in all_subgroups(G):
             assert set(normalizer(G, H)) == naive_normalizer(G, H)
@@ -120,9 +166,10 @@ def test_normalizer_contains_subgroup_and_is_a_subgroup(make_group):
 
 
 def test_left_coset_table_matches_naive_cosets(make_group):
-    # dihedral 20 (order 40) reads two triples of chunks, dihedral 28
-    # (order 56) three
-    for G in map(make_group, ("symmetric 4", "dihedral 20", "dihedral 28")):
+    # dihedral 20 (order 40) and cyclic 37 read two triples of chunks,
+    # dihedral 28 (order 56) three
+    for G in map(make_group, catalog_specs(16) + [
+            "symmetric 4", "dihedral 20", "cyclic 37", "dihedral 28"]):
         for H in all_subgroups(G):
             cosets = left_cosets(G, H)
             assert len(cosets) == G.order
