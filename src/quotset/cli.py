@@ -332,7 +332,7 @@ def _run_check_lemmas(args):
     if args.box_trials < 0:
         raise ValueError(f"--box-trials must be at least 0, got {args.box_trials}")
     G = _build_tabled(args.group, enumerates=args.subgroup is None)
-    # the subgroups first: their caps refuse a large group before the O(n^3) axioms
+    # the subgroups first: a bad --subgroup is refused before the O(n^3) axioms
     if args.subgroup is not None:
         subgroups = [ensure_subgroup(G, parse_set_literal(args.subgroup, G.order))]
     else:
