@@ -38,6 +38,7 @@ from .groups import (
     build_group,
     catalog_entries,
     parse_spec_lines,
+    spec_names,
     spec_order,
     verify_group_axioms,
 )
@@ -380,13 +381,12 @@ def _run_check_lemmas(args):
 
 def _run_catalog(args):
     if args.group is not None:
-        G = build_group(args.group)
+        spec, names = spec_names(args.group)  # no table is built
         doc = {
             "command": "catalog",
-            "group": G.spec,
-            "order": G.order,
-            "elements": [{"id": x, "name": G.name_of(x)}
-                         for x in range(G.order)],
+            "group": spec,
+            "order": len(names),
+            "elements": [{"id": x, "name": name} for x, name in enumerate(names)],
             "findings": [],
         }
         return doc, []

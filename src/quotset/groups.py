@@ -25,8 +25,8 @@ image tuple (the identity ranks first); dicyclic ids 0..2M-1 are a^i and ids
 ids are assigned by breadth-first closure from the identity, expanding each
 element by the generators in listed order.
 
-``spec_order`` runs every check ``build_group`` does, the order cap
-included, but builds no table.  Cyclic, dihedral and dicyclic tables come
+``spec_order`` and ``spec_names`` run every check ``build_group`` does,
+the order cap included, but build no table.  Cyclic, dihedral and dicyclic tables come
 from one metacyclic presentation.
 """
 
@@ -38,7 +38,7 @@ import re
 from operator import or_
 from typing import NamedTuple
 
-from .reports import CheckItem, CheckReport
+from .reports import CheckItem, CheckReport, law_item
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -48,6 +48,7 @@ __all__ = [
     "GroupTable",
     "build_group",
     "spec_order",
+    "spec_names",
     "verify_group_axioms",
     "catalog_entries",
     "catalog_specs",
@@ -183,7 +184,7 @@ class GroupTable:
 # family builders
 
 
-def _metacyclic_table(m, n, t, r, names, spec) -> GroupTable:
+def _metacyclic_table(m, n, t, r):
     # <a, b | a^m, b^n = a^t, b a b^-1 = a^r>, with id i + m*j for a^i b^j.
     # The row of b^j is b^j a^k b^l = a^(k r^j) b^(j + l), b^n folding to
     # a^t, and the row of a^(i+1) b^j is a times the row of a^i b^j.
@@ -197,8 +198,7 @@ def _metacyclic_table(m, n, t, r, names, spec) -> GroupTable:
         for _ in range(m):
             mul.append(row)
             row = list(map(left_a.__getitem__, row))
-    inv = [row.index(0) for row in mul]
-    return GroupTable(order, mul, inv, names, spec)
+    return mul, [row.index(0) for row in mul]
 
 
 def _cycle_name(images) -> str:
@@ -221,7 +221,7 @@ def _cycle_name(images) -> str:
     return "".join(parts) or "()"
 
 
-def _table_from_perms(elems, degree, spec):
+def _table_from_perms(elems, degree):
     index = {p: i for i, p in enumerate(elems)}
     rng = range(degree)
     mul = [[index[tuple(py[px[i] - 1] for i in rng)] for py in elems] for px in elems]
@@ -231,8 +231,7 @@ def _table_from_perms(elems, degree, spec):
         for i in rng:
             ip[p[i] - 1] = i + 1
         inv.append(index[tuple(ip)])
-    names = [_cycle_name(p) for p in elems]
-    return GroupTable(len(elems), mul, inv, names, spec)
+    return mul, inv
 
 
 def _perm_closure(degree, gens, original, base) -> list:
@@ -256,23 +255,21 @@ def _perm_closure(degree, gens, original, base) -> list:
     return elems
 
 
-def _product_table(a: GroupTable, b: GroupTable) -> GroupTable:
-    order = a.order * b.order
-    nb = b.order
+def _product_table(a, b):
+    (amul, ainv), (bmul, binv) = a, b
+    na, nb = len(ainv), len(binv)
+    order = na * nb
     mul = [[0] * order for _ in range(order)]
-    for i in range(a.order):
-        arow = a.mul[i]
+    for i in range(na):
+        arow = amul[i]
         for j in range(nb):
-            brow = b.mul[j]
+            brow = bmul[j]
             row = mul[i * nb + j]
-            for k in range(a.order):
+            for k in range(na):
                 ak = arow[k] * nb
                 for l in range(nb):
                     row[k * nb + l] = ak + brow[l]
-    inv = [a.inv[x // nb] * nb + b.inv[x % nb] for x in range(order)]
-    names = [f"({a.element_names[x // nb]},{b.element_names[x % nb]})"
-             for x in range(order)]
-    return GroupTable(order, mul, inv, names, f"product {a.spec} ; {b.spec}")
+    return mul, [ainv[x // nb] * nb + binv[x % nb] for x in range(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +278,7 @@ def _product_table(a: GroupTable, b: GroupTable) -> GroupTable:
 _FAMILY_RE = re.compile(r"(cyclic|dihedral|symmetric|dicyclic)\s+(\S+)\s*$")
 _PERM_RE = re.compile(r"perm\s+degree=(\S+?)\s+gens=\[(.*)\]\s*$")
 _GEN_RE = re.compile(r"\(([^()]*)\)")
-_INT_RE = re.compile(r"-?\d+$")
+_INT_RE = re.compile(r"-?[0-9]+")  # not \d, which takes every script's digits
 
 
 def build_group(spec: str) -> GroupTable:
@@ -289,14 +286,23 @@ def build_group(spec: str) -> GroupTable:
 
     The returned table's ``spec`` field is the whitespace-normalized form of
     the input, and identical spec strings always rebuild identical tables.
+    This is the one place a ``GroupTable`` is made from a spec.
     """
-    return _parse(spec)[1]()
+    order, spec, names, build = _parse(spec)
+    return GroupTable(order, *build(), names(), spec)
 
 
 def spec_order(spec: str) -> int:
     """The order of the group ``spec`` describes, raising ``GroupSpecError``
     as ``build_group`` would, but building no table."""
     return _parse(spec)[0]
+
+
+def spec_names(spec: str) -> tuple[str, tuple[str, ...]]:
+    """The normalized spec and the element names of ``build_group(spec)``,
+    building no table."""
+    _, spec, names, _ = _parse(spec)
+    return spec, tuple(names())
 
 
 def _parse(spec):
@@ -306,14 +312,15 @@ def _parse(spec):
 
 
 def _parse_int(token, original, column):
-    if not _INT_RE.match(token):
+    if not _INT_RE.fullmatch(token):
         raise GroupSpecError(f"expected an integer, got {token!r}", original, column)
     return int(token)
 
 
 def _parse_spec(original, text, base):
-    """``(order, build)`` for the spec ``text``: every check, the order cap
-    included, runs here, and ``build()`` makes the table."""
+    """``(order, spec, names, build)`` for the spec ``text``: every check,
+    the order cap included, runs here, ``spec`` is the normalized text,
+    ``names()`` gives the element names and ``build()`` gives ``(mul, inv)``."""
     word = text.split(None, 1)[0]
     if word == "product":
         rest = text[len("product"):]
@@ -333,16 +340,18 @@ def _parse_spec(original, text, base):
                 "nest products to the right", original, lhs_base)
         if not rhs_stripped:
             raise GroupSpecError("product spec is missing its right factor", original, base)
-        a_order, build_a = _parse_spec(original, lhs_stripped, lhs_base)
-        b_order, build_b = _parse_spec(original, rhs_stripped, rhs_base)
+        a_order, a_spec, a_names, build_a = _parse_spec(original, lhs_stripped, lhs_base)
+        b_order, b_spec, b_names, build_b = _parse_spec(original, rhs_stripped, rhs_base)
         order = a_order * b_order
         if order > DEFAULT_ORDER_CAP:
             raise GroupSpecError(
                 f"product order {order} exceeds the order cap {DEFAULT_ORDER_CAP}",
                 original, base)
-        return order, lambda: _product_table(build_a(), build_b())
+        return (order, f"product {a_spec} ; {b_spec}",
+                lambda: (f"({x},{y})" for x, y in itertools.product(a_names(), b_names())),
+                lambda: _product_table(build_a(), build_b()))
 
-    if word == "perm" or word.startswith("perm"):
+    if word.startswith("perm"):
         m = _PERM_RE.fullmatch(text)
         if not m:
             raise GroupSpecError(
@@ -369,7 +378,8 @@ def _parse_spec(original, text, base):
         elems = _perm_closure(degree, gens, original, base)
         gen_text = ",".join("(" + " ".join(map(str, g)) + ")" for g in gens)
         spec = f"perm degree={degree} gens=[{gen_text}]"
-        return len(elems), lambda: _table_from_perms(elems, degree, spec)
+        return (len(elems), spec, lambda: map(_cycle_name, elems),
+                lambda: _table_from_perms(elems, degree))
 
     m = _FAMILY_RE.fullmatch(text)
     if not m:
@@ -381,30 +391,31 @@ def _parse_spec(original, text, base):
         if value < 1:
             raise GroupSpecError("cyclic needs N >= 1", original, base + m.start(2))
         order = value
-        build = lambda: _metacyclic_table(value, 1, 0, 1, map(str, range(value)), spec)
+        names = lambda: map(str, range(value))
+        build = lambda: _metacyclic_table(value, 1, 0, 1)
     elif family == "dihedral":
         if value < 1:
             raise GroupSpecError("dihedral needs N >= 1", original, base + m.start(2))
         order = 2 * value
-        build = lambda: _metacyclic_table(
-            value, 2, 0, -1, [f"r^{i}{s}" for s in ("", " s") for i in range(value)], spec)
+        names = lambda: (f"r^{i}{s}" for s in ("", " s") for i in range(value))
+        build = lambda: _metacyclic_table(value, 2, 0, -1)
     elif family == "symmetric":
         if not 1 <= value <= 5:
             raise GroupSpecError("symmetric needs 1 <= K <= 5", original, base + m.start(2))
         order = math.factorial(value)
-        build = lambda: _table_from_perms(
-            list(itertools.permutations(range(1, value + 1))), value, spec)
+        perms = lambda: list(itertools.permutations(range(1, value + 1)))
+        names = lambda: map(_cycle_name, perms())
+        build = lambda: _table_from_perms(perms(), value)
     else:
         if value < 2:
             raise GroupSpecError("dicyclic needs M >= 2", original, base + m.start(2))
         order = 4 * value
-        build = lambda: _metacyclic_table(
-            2 * value, 2, value, -1,
-            [f"a^{i}{x}" for x in ("", " x") for i in range(2 * value)], spec)
+        names = lambda: (f"a^{i}{x}" for x in ("", " x") for i in range(2 * value))
+        build = lambda: _metacyclic_table(2 * value, 2, value, -1)
     if order > DEFAULT_ORDER_CAP:
         raise GroupSpecError(f"order {order} exceeds the order cap {DEFAULT_ORDER_CAP}",
                              original, base)
-    return order, build
+    return order, spec, names, build
 
 
 def parse_spec_lines(text: str) -> list[str]:
@@ -423,47 +434,24 @@ def parse_spec_lines(text: str) -> list[str]:
 
 def verify_group_axioms(G: GroupTable) -> CheckReport:
     """Exhaustively check identity, inverses, associativity, and both Latin-square laws."""
-    n, mul, inv = G.order, G.mul, G.inv
-    items = []
-
-    bad = next((x for x in range(n) if mul[0][x] != x or mul[x][0] != x), None)
-    items.append(CheckItem("identity", bad is None,
-                           "" if bad is None else f"fails at {G.name_of(bad)}"))
-
-    bad = next((x for x in range(n)
-                if mul[x][inv[x]] != 0 or mul[inv[x]][x] != 0), None)
-    items.append(CheckItem("inverses", bad is None,
-                           "" if bad is None else f"fails at {G.name_of(bad)}"))
-
-    witness = None
-    for x in range(n):
-        row_x = mul[x]
-        for y in range(n):
-            xy = row_x[y]
-            row_y = mul[y]
-            row_xy = mul[xy]
-            for z in range(n):
-                if row_xy[z] != row_x[row_y[z]]:
-                    witness = (x, y, z)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    items.append(CheckItem(
-        "associativity", witness is None,
-        "" if witness is None else
-        "fails at ({}, {}, {})".format(*(G.name_of(w) for w in witness))))
-
+    n, mul, inv, name_of = G.order, G.mul, G.inv, G.name_of
     ids = list(range(n))
-    bad_row = next((x for x in range(n) if sorted(mul[x]) != ids), None)
-    bad_col = next((y for y in range(n)
-                    if sorted(mul[x][y] for x in range(n)) != ids), None)
-    items.append(CheckItem("latin_square", bad_row is None and bad_col is None,
-                           "" if bad_row is None and bad_col is None else
-                           f"row/column {bad_row if bad_row is not None else bad_col}"))
-
-    return CheckReport(f"group axioms for {G.spec}", tuple(items))
+    # the rows first, then the columns, each named by its index
+    bad_line = next((i % n for i, line in enumerate(itertools.chain(mul, zip(*mul)))
+                     if sorted(line) != ids), None)
+    return CheckReport(f"group axioms for {G.spec}", (
+        law_item("identity", next(
+            (x for x in ids if mul[0][x] != x or mul[x][0] != x), None), name_of),
+        law_item("inverses", next(
+            (x for x in ids if mul[x][inv[x]] != 0 or mul[inv[x]][x] != 0), None), name_of),
+        # binding the row of xy once per pair keeps this as fast as a nested loop
+        law_item("associativity", next(
+            ((x, y, z) for x, row_x in enumerate(mul) for y, row_y in enumerate(mul)
+             for row_xy in (mul[row_x[y]],) for z in ids
+             if row_xy[z] != row_x[row_y[z]]), None), name_of),
+        CheckItem("latin_square", bad_line is None,
+                  "" if bad_line is None else f"row/column {bad_line}"),
+    ))
 
 
 def _factorize(n: int) -> dict[int, int]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CheckItem", "CheckReport"]
+__all__ = ["CheckItem", "CheckReport", "law_item"]
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,17 @@ class CheckItem:
         if self.passed is None:
             return "skip"
         return "pass" if self.passed else "fail"
+
+
+def law_item(name: str, counterexample, name_of) -> CheckItem:
+    """The check of a law whose exhaustive search found ``counterexample``:
+    passed when it is None, and otherwise failed at that element id or
+    tuple of ids, each written by ``name_of``."""
+    if counterexample is None:
+        return CheckItem(name, True)
+    if isinstance(counterexample, tuple):
+        return CheckItem(name, False, f"fails at ({', '.join(map(name_of, counterexample))})")
+    return CheckItem(name, False, f"fails at {name_of(counterexample)}")
 
 
 @dataclass(frozen=True)

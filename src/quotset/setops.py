@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .groups import GroupTable
-from .reports import CheckItem, CheckReport
+from .groups import _INT_RE, GroupTable
+from .reports import CheckReport, law_item
 
 __all__ = [
     "ElemSet",
@@ -85,7 +85,7 @@ def parse_set_literal(text: str, n: int) -> ElemSet:
     bits = 0
     for token in body.split(","):
         token = token.strip()
-        if not token.lstrip("-").isdigit():
+        if not _INT_RE.fullmatch(token):
             raise ValueError(f"bad element {token!r} in set literal {text!r}")
         x = int(token)
         if not 0 <= x < n:
@@ -190,33 +190,18 @@ def check_counting_bounds(G: GroupTable, A: ElemSet, B: ElemSet) -> CheckReport:
     amask = _bits_nonempty(G, A, "A")
     bmask = _bits_nonempty(G, B, "B")
     asize = amask.bit_count()
-    mul, inv = G.mul, G.inv
-    items = []
-
+    mul, inv, name_of = G.mul, G.inv, G.name_of
     qmask = quotient_mask(G, amask)
     rc = rep_counts_quotient_mask(G, amask, amask)
     q_elems = list(ElemSet(G.order, qmask))
-    witness = None
-    for i, g1 in enumerate(q_elems):
-        r1 = rc[g1]
-        for g2 in q_elems[i:]:
-            if r1 + rc[g2] > asize and not qmask >> mul[inv[g1]][g2] & 1:
-                witness = (g1, g2)
-                break
-        if witness:
-            break
-    items.append(CheckItem(
-        "pigeonhole_quotient", witness is None,
-        "" if witness is None else
-        "fails at ({}, {})".format(*(G.name_of(w) for w in witness))))
-
     pmask = product_mask(G, amask, bmask)
-    psize = pmask.bit_count()
-    need = asize + bmask.bit_count() - psize
+    need = asize + bmask.bit_count() - pmask.bit_count()
     pc = rep_counts_quotient_mask(G, invert_mask(G, amask), bmask)  # a*b = inv(a^-1)*b
-    bad = next((g for g in ElemSet(G.order, pmask) if pc[g] < need), None)
-    items.append(CheckItem(
-        "kemperman_wehn", bad is None,
-        "" if bad is None else f"fails at {G.name_of(bad)}"))
-
-    return CheckReport("counting bounds", tuple(items))
+    return CheckReport("counting bounds", (
+        law_item("pigeonhole_quotient", next(
+            ((g1, g2) for i, g1 in enumerate(q_elems) for g2 in q_elems[i:]
+             if rc[g1] + rc[g2] > asize and not qmask >> mul[inv[g1]][g2] & 1), None),
+            name_of),
+        law_item("kemperman_wehn", next(
+            (g for g in ElemSet(G.order, pmask) if pc[g] < need), None), name_of),
+    ))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import GroupTable
-from .reports import CheckItem, CheckReport
+from .reports import CheckReport, law_item
 from .setops import (
     ElemSet,
     _quotient,
@@ -160,58 +160,23 @@ def check_coset_laws(G: GroupTable, H: Subgroup) -> CheckReport:
       in the left-to-right direction because H has index 2 in the union.
     * double_coset_size: |HgH| = |H| exactly when g normalizes H.
     """
-    n = G.order
-    hbits = H.bits
-    h = H.order
-    mul = G.mul
+    n, hbits, h, mul, name_of = G.order, H.bits, H.order, G.mul, G.name_of
     norm = normalizer(G, H).bits
     lefts = left_cosets(G, H)
     rights = [invert_mask(G, lefts[G.inv[b]]) for b in range(n)]  # Hb
-    items = []
-
-    witness = None
-    for a in range(n):
-        la = lefts[a]
-        for b in range(n):
-            rb = rights[b]
-            if la != rb and 2 * (la & rb).bit_count() > h:
-                witness = (a, b)
-                break
-        if witness:
-            break
-    items.append(CheckItem(
-        "overlap_bound", witness is None,
-        "" if witness is None else
-        "fails at ({}, {})".format(*(G.name_of(w) for w in witness))))
-
-    witness = None
-    for a in range(n):
-        la = lefts[a]
-        for b in range(n):
-            eq = la == rights[b]
-            law = bool(norm >> a & 1) and bool(norm >> b & 1) and la == lefts[b]
-            if eq != law:
-                witness = (a, b)
-                break
-        if witness:
-            break
-    items.append(CheckItem(
-        "normalizer_match", witness is None,
-        "" if witness is None else
-        "fails at ({}, {})".format(*(G.name_of(w) for w in witness))))
-
-    bad = next((g for g in range(n) if not hbits >> g & 1
-                and is_subgroup_mask(G, hbits | lefts[g])
-                != (bool(norm >> g & 1) and bool(hbits >> mul[g][g] & 1))),
-               None)
-    items.append(CheckItem("union_subgroup_square", bad is None,
-                           "" if bad is None else f"fails at {G.name_of(bad)}"))
-
-    bad = next((g for g in range(n)
-                if (product_mask(G, hbits, lefts[g]).bit_count() == h)
-                != bool(norm >> g & 1)),
-               None)
-    items.append(CheckItem("double_coset_size", bad is None,
-                           "" if bad is None else f"fails at {G.name_of(bad)}"))
-
-    return CheckReport(f"coset laws for a subgroup of order {h}", tuple(items))
+    return CheckReport(f"coset laws for a subgroup of order {h}", (
+        law_item("overlap_bound", next(
+            ((a, b) for a, la in enumerate(lefts) for b, rb in enumerate(rights)
+             if la != rb and 2 * (la & rb).bit_count() > h), None), name_of),
+        law_item("normalizer_match", next(
+            ((a, b) for a, la in enumerate(lefts) for b, rb in enumerate(rights)
+             if (la == rb) != bool(norm >> a & norm >> b & 1 and la == lefts[b])),
+            None), name_of),
+        law_item("union_subgroup_square", next(
+            (g for g in range(n) if not hbits >> g & 1
+             and is_subgroup_mask(G, hbits | lefts[g])
+             != bool(norm >> g & hbits >> mul[g][g] & 1)), None), name_of),
+        law_item("double_coset_size", next(
+            (g for g in range(n) if (product_mask(G, hbits, lefts[g]).bit_count() == h)
+             != bool(norm >> g & 1)), None), name_of),
+    ))

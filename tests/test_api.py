@@ -2,7 +2,9 @@
 
 A name deleted from a module but left in its ``__all__`` only fails at
 ``from module import *``; resolving every entry here catches it earlier.
-The last test keeps the action tables' chunk layout read in one place.
+The last tests keep the action tables' chunk layout read in one place,
+make every ``GroupTable`` in one place, and write a failed law's detail
+in one.
 """
 
 import ast
@@ -77,14 +79,13 @@ LAYOUT_READERS = {
 }
 
 
-def _layout_readers(tree, module):
-    """(module, top-level function) of every read of a layout field; the
-    function is None for a read at module level."""
+def _owners(tree, module, hit):
+    """(module, top-level function) of every node that ``hit`` accepts; the
+    function is None for a node at module level."""
     found = set()
 
     def visit(node, owner):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
-                and node.attr in LAYOUT_FIELDS:
+        if hit(node):
             found.add((module, owner))
         if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
@@ -95,12 +96,40 @@ def _layout_readers(tree, module):
     return found
 
 
+def _package_owners(hit, skip=()):
+    found = set()
+    for path in sorted(Path(quotset.__file__).parent.glob("*.py")):
+        if path.name not in skip:
+            found |= _owners(ast.parse(path.read_text(encoding="utf-8")), path.stem, hit)
+    return found
+
+
+def _reads_layout(node):
+    return isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+        and node.attr in LAYOUT_FIELDS
+
+
 def test_only_three_functions_read_the_table_layout():
     # groups.py builds the tables; a new search (a child update such as
     # Q(P | {x}) = Q(P) | x^-1 P | P^-1 x) calls setops._quotient instead of
     # spelling out the three-chunk lookup again
-    readers = set()
-    for path in sorted(Path(quotset.__file__).parent.glob("*.py")):
-        if path.name != "groups.py":
-            readers |= _layout_readers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert readers == LAYOUT_READERS
+    assert _package_owners(_reads_layout, skip={"groups.py"}) == LAYOUT_READERS
+
+
+def test_only_build_group_makes_a_group_table():
+    # the family builders return (mul, inv), and the spec parse gives the
+    # order, normalized spec and names, so a table is assembled in one place
+    def makes_table(node):
+        return isinstance(node, ast.Call) and "GroupTable" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    assert _package_owners(makes_table) == {("groups", "build_group")}
+
+
+def test_only_law_item_writes_where_a_law_fails():
+    # every exhaustive law hands its first counterexample to reports.law_item
+    def writes_detail(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and "fails at" in node.value
+
+    assert _package_owners(writes_detail) == {("reports", "law_item")}

@@ -494,6 +494,33 @@ def test_catalog_element_name_map(capsys):
     assert "  5  r^1 s" in out
 
 
+@pytest.mark.parametrize("spec, fmt, digest", [
+    ("cyclic 5040", "text",
+     "1e3175147ed163dd7f4fcbec5dca7b3abdb00f6b8f377bffe047a78093dd54ed"),
+    ("cyclic 5040", "json",
+     "234f38f739f3611263e975a6b086a18242bb319c28b95c262bd85e716b0f546a"),
+    ("product  dihedral 3 ;product cyclic 2 ; symmetric   3", "text",
+     "19e523e2482a83cdd8496b46a99d63d8b9c4b1eb8b96affb26090d78b498c3ac"),
+    ("product  dihedral 3 ;product cyclic 2 ; symmetric   3", "json",
+     "ad4e44a02a4ab23a2b962fbdbfa7d73ba62ef5245c64f31a068b02cab91ecbcb"),
+    ("perm degree=5 gens=[(2 3 4 5 1), (2 1 3 4 5)]", "text",
+     "c24fb4f06ee8c86eef44daa12e62908adbde8dd0b50789db059b0bfd7285bb92"),
+    ("perm degree=5 gens=[(2 3 4 5 1), (2 1 3 4 5)]", "json",
+     "ceba786f71330566c9a7dd02fb92441fd2bb92a1aee3637421263e610c2de5f3"),
+], ids=["cyclic-text", "cyclic-json", "product-text", "product-json",
+        "perm-text", "perm-json"])
+def test_element_name_map_builds_no_table(capsys, monkeypatch, spec, fmt, digest):
+    # the names come from the spec alone, so even the order cap's group
+    # prints its map without a 5040 x 5040 table
+    def refuse(spec):
+        raise AssertionError(f"built {spec} to print its names")
+
+    monkeypatch.setattr(cli, "build_group", refuse)
+    code, out, err = run(capsys, ["catalog", "--group", spec, "--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # === output files ===
 
 

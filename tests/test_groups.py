@@ -241,6 +241,7 @@ def test_catalog_specs_round_trip(make_group):
     "cyclic -3",
     "frobnitz 5",
     "dihedral x",
+    "cyclic ٣",  # a digit, but not an ASCII one
     "cyclic 6 extra",
     "perm degree=3 gens=[(1 1 2)]",
     "perm degree=3 gens=[(4 1 2)]",

@@ -5,6 +5,7 @@ ten-thousand-instance oracle comparison lives in the acceptance tests.
 """
 
 import random
+import re
 
 import pytest
 
@@ -60,6 +61,14 @@ def test_parse_set_literal_tolerates_spacing_and_duplicates():
 def test_parse_set_literal_rejects_junk(bad):
     with pytest.raises(ValueError):
         parse_set_literal(bad, 8)
+
+
+@pytest.mark.parametrize("token", ["--3", "²", "-²", "٣", "+3", "3_0"])
+def test_parse_set_literal_takes_only_ascii_digits(token):
+    # str.isdigit accepts superscripts and other scripts' digits, which
+    # int() then rejects or reads; only -?[0-9]+ is an element id
+    with pytest.raises(ValueError, match=re.escape(f"bad element {token!r} in set literal")):
+        parse_set_literal(f"{{0, {token}}}", 8)
 
 
 def test_literal_round_trips():
